@@ -14,7 +14,7 @@ from .configuration import (Configuration, basis_count_config, canonical_key,
                             config_minor, config_truncate, configuration_of,
                             independent_copoint_count)
 from .constructions import (cat_add_loops, cat_direct_sum, cat_qcone,
-                            cat_strip_loops, cat_truncate, dc_sum_check,
+                            cat_strip_loops, dc_sum_check,
                             free_product_rank_sequence, g_add_coloop,
                             g_add_loop, g_dual, g_free_coextension,
                             g_free_extension, g_free_product, g_lift,
@@ -27,8 +27,8 @@ from .ginvariant import (CatenaryData, GInvariant, TuttePolynomial,
                          comp_to_seq, compositions, dominates, g_brute_force,
                          g_from_catenary, g_invariant, gamma_expand,
                          gamma_one, oracle_limit, paving_catenary,
-                         pmd_catenary, seq_comp_bijection, seq_to_comp,
-                         tutte_brute_force, tutte_from_g)
+                         pmd_catenary, seq_to_comp, tutte_brute_force,
+                         tutte_from_g)
 from .matroid import (Matroid, build_matroid, dowling3, elements_of,
                       from_bases, from_cyclic_flats, from_graph,
                       from_paving_copoints, mask_of, uniform)

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from . import constructions as cons
@@ -19,24 +20,39 @@ from . import serialization as ser
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
-from .ginvariant import (catenary, catenary_from_g, g_from_catenary,
-                         g_invariant, tutte_from_g)
+from .ginvariant import (GInvariant, catenary, catenary_from_g,
+                         g_from_catenary, g_invariant, tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
 
-UNARY_OPS = {
-    "dual": cons.g_dual,
-    "truncate": cons.g_truncate,
-    "lift": cons.g_lift,
-    "freeext": cons.g_free_extension,
-    "freecoext": cons.g_free_coextension,
-    "relax": cons.g_relax,
+
+def _qcone(g: GInvariant, q: int | None) -> GInvariant:
+    if q is None:
+        raise PresentationError("qcone needs --q")
+    return g_from_catenary(cons.cat_qcone(catenary_from_g(g), q))
+
+
+# op name -> (number of invariant files, options passed after them,
+# construction)
+OPS = {
+    "dual": (1, (), cons.g_dual),
+    "truncate": (1, (), cons.g_truncate),
+    "lift": (1, (), cons.g_lift),
+    "freeext": (1, (), cons.g_free_extension),
+    "freecoext": (1, (), cons.g_free_coextension),
+    "relax": (1, (), cons.g_relax),
+    "qcone": (1, ("q",), _qcone),
+    "sum": (2, (), cons.g_shuffle),
+    "freeproduct": (2, (), cons.g_free_product),
 }
 
-BINARY_OPS = {
-    "sum": cons.g_shuffle,
-    "freeproduct": cons.g_free_product,
+# deck role -> reconstruction; a rank-k deck carries k in its restrictions
+RECONSTRUCTIONS = {
+    "copoint": reconstruct_from_copoint_deck,
+    "circuit": circuit_deck_reconstruct,
+    "rank-k": lambda deck: slice_assemble(deck, deck.entries[0][0][0].r),
+    "h-sums": reconstruct_from_copoint_deck,
 }
 
 
@@ -53,9 +69,14 @@ def _load_json(path: str) -> dict:
 def _load_ginvariant(path: str):
     """A matroid file or a G-invariant file, as an invariant."""
     doc = _load_json(path)
-    if "coeffs" in doc:
-        return ser.ginvariant_from_json(doc)
-    return g_invariant(ser.matroid_from_json(doc))
+    if "coeffs" not in doc:
+        return g_invariant(ser.matroid_from_json(doc))
+    g = ser.ginvariant_from_json(doc)
+    # an empty vector is never an invariant; a nonempty one bounds n
+    if not g.coeffs or g.total() != math.factorial(g.n):
+        raise ExactnessError(f"coefficients sum to {g.total()}, not {g.n}!")
+    catenary_from_g(g)  # raises unless the gamma coordinates are counts
+    return g
 
 
 def _emit(payload) -> int:
@@ -73,17 +94,22 @@ def _build_parser() -> argparse.ArgumentParser:
                           "(default 9; env GINV_ORACLE_LIMIT)")
     sub = top.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("ginv", help="G-invariant of a matroid file")
+    def command(name, run, summary):
+        p = sub.add_parser(name, help=summary)
+        p.set_defaults(run=run)
+        return p
+
+    p = command("ginv", _ginv, "G-invariant of a matroid file")
     p.add_argument("file")
     p.add_argument("--basis", choices=["symbol", "gamma"], default="symbol")
 
-    p = sub.add_parser("catenary", help="catenary data of a matroid file")
+    p = command("catenary", _catenary, "catenary data of a matroid file")
     p.add_argument("file")
 
-    p = sub.add_parser("tutte", help="Tutte polynomial of a matroid file")
+    p = command("tutte", _tutte, "Tutte polynomial of a matroid file")
     p.add_argument("file")
 
-    p = sub.add_parser("params", help="derived parameters of a matroid file")
+    p = command("params", _params, "derived parameters of a matroid file")
     p.add_argument("file")
     grp = p.add_mutually_exclusive_group(required=True)
     grp.add_argument("--flats", nargs=2, type=int, metavar=("K", "S"))
@@ -91,125 +117,116 @@ def _build_parser() -> argparse.ArgumentParser:
     grp.add_argument("--circuits", type=int, metavar="S")
     grp.add_argument("--hamiltonian", action="store_true")
 
-    p = sub.add_parser("op", help="invariant-level construction")
-    p.add_argument("name", choices=sorted(UNARY_OPS) + sorted(BINARY_OPS) + ["qcone"])
+    p = command("op", _op, "invariant-level construction")
+    p.add_argument("name", choices=list(OPS))
     p.add_argument("files", nargs="+")
     p.add_argument("--q", type=int, default=None, help="q for the q-cone")
 
-    p = sub.add_parser("config", help="configuration of a matroid file")
+    p = command("config", _config, "configuration of a matroid file")
     p.add_argument("file")
 
-    p = sub.add_parser("config-catenary",
-                       help="catenary data from a configuration file")
+    p = command("config-catenary", _config_catenary,
+                "catenary data from a configuration file")
     p.add_argument("file")
 
-    p = sub.add_parser("detect-freeproduct",
-                       help="free-product detection from a matroid or "
-                            "G-invariant file")
+    p = command("detect-freeproduct", _detect_freeproduct,
+                "free-product detection from a matroid or G-invariant file")
     p.add_argument("file")
 
-    p = sub.add_parser("reconstruct", help="rebuild a G-invariant from a deck")
+    p = command("reconstruct", _reconstruct,
+                "rebuild a G-invariant from a deck")
     p.add_argument("--deck", required=True)
-    p.add_argument("--role", required=True,
-                   choices=["copoint", "circuit", "rank-k", "h-sums"])
+    p.add_argument("--role", required=True, choices=list(RECONSTRUCTIONS))
 
-    p = sub.add_parser("verify", help="run the identity suite on a matroid file")
+    p = command("verify", _verify, "run the identity suite on a matroid file")
     p.add_argument("file")
     p.add_argument("--deep", action="store_true")
     return top
 
 
-def _run(args) -> int:
-    if args.command == "ginv":
-        g = _load_ginvariant(args.file)
-        if args.basis == "gamma":
-            return _emit(ser.catenary_to_json(catenary_from_g(g)))
-        return _emit(ser.ginvariant_to_json(g))
+def _ginv(args) -> int:
+    g = _load_ginvariant(args.file)
+    if args.basis == "gamma":
+        return _emit(ser.catenary_to_json(catenary_from_g(g)))
+    return _emit(ser.ginvariant_to_json(g))
 
-    if args.command == "catenary":
-        m = ser.matroid_from_json(_load_json(args.file))
-        return _emit(ser.catenary_to_json(catenary(m)))
 
-    if args.command == "tutte":
-        g = _load_ginvariant(args.file)
-        return _emit(ser.tutte_to_json(tutte_from_g(g)))
+def _catenary(args) -> int:
+    m = ser.matroid_from_json(_load_json(args.file))
+    return _emit(ser.catenary_to_json(catenary(m)))
 
-    if args.command == "params":
-        g = _load_ginvariant(args.file)
-        c = catenary_from_g(g)
-        if args.flats:
-            k, s = args.flats
-            return _emit({"flats": str(params.flat_count(c, k, s))})
-        if args.coloops:
-            k, s, cnum = args.coloops
-            return _emit({"flats_with_coloops":
-                          str(params.flat_count_coloops(c, k, s, cnum))})
-        if args.circuits is not None:
-            return _emit({"circuits":
-                          str(params.family_counts(g, "circuit", args.circuits))})
-        return _emit({"has_spanning_circuit": params.has_spanning_circuit(g)})
 
-    if args.command == "op":
-        name = args.name
-        if name == "qcone":
-            if len(args.files) != 1 or args.q is None:
-                raise PresentationError("qcone takes one file and --q")
-            g = _load_ginvariant(args.files[0])
-            out = g_from_catenary(cons.cat_qcone(catenary_from_g(g), args.q))
-            return _emit(ser.ginvariant_to_json(out))
-        if name in UNARY_OPS:
-            if len(args.files) != 1:
-                raise PresentationError(f"{name} takes exactly one file")
-            return _emit(ser.ginvariant_to_json(
-                UNARY_OPS[name](_load_ginvariant(args.files[0]))))
-        if len(args.files) != 2:
-            raise PresentationError(f"{name} takes exactly two files")
-        g1 = _load_ginvariant(args.files[0])
-        g2 = _load_ginvariant(args.files[1])
-        return _emit(ser.ginvariant_to_json(BINARY_OPS[name](g1, g2)))
+def _tutte(args) -> int:
+    g = _load_ginvariant(args.file)
+    return _emit(ser.tutte_to_json(tutte_from_g(g)))
 
-    if args.command == "config":
-        m = ser.matroid_from_json(_load_json(args.file))
-        return _emit(ser.configuration_to_json(configuration_of(m)))
 
-    if args.command == "config-catenary":
-        conf = ser.configuration_from_json(_load_json(args.file))
-        return _emit(ser.catenary_to_json(catenary_from_config(conf)))
+def _params(args) -> int:
+    g = _load_ginvariant(args.file)
+    c = catenary_from_g(g)
+    if args.flats:
+        k, s = args.flats
+        return _emit({"flats": str(params.flat_count(c, k, s))})
+    if args.coloops:
+        k, s, cnum = args.coloops
+        return _emit({"flats_with_coloops":
+                      str(params.flat_count_coloops(c, k, s, cnum))})
+    if args.circuits is not None:
+        return _emit({"circuits":
+                      str(params.family_counts(g, "circuit", args.circuits))})
+    return _emit({"has_spanning_circuit": params.has_spanning_circuit(g)})
 
-    if args.command == "detect-freeproduct":
-        g = _load_ginvariant(args.file)
-        return _emit(ser.report_to_json(detect_free_product(g)))
 
-    if args.command == "reconstruct":
-        deck = ser.deck_from_json(_load_json(args.deck))
-        if deck.role != args.role:
-            raise PresentationError(
-                f"deck file has role {deck.role!r}, command says {args.role!r}")
-        if deck.role == "circuit":
-            g = circuit_deck_reconstruct(deck)
-        elif deck.role == "rank-k":
-            k = deck.entries[0][0][0].r
-            g = slice_assemble(deck, k)
-        else:
-            g = reconstruct_from_copoint_deck(deck)
-        return _emit(ser.ginvariant_to_json(g))
+def _op(args) -> int:
+    arity, options, construction = OPS[args.name]
+    if len(args.files) != arity:
+        raise PresentationError(
+            f"{args.name} takes {arity} invariant file(s), "
+            f"got {len(args.files)}")
+    gs = [_load_ginvariant(path) for path in args.files]
+    out = construction(*gs, *(getattr(args, opt) for opt in options))
+    return _emit(ser.ginvariant_to_json(out))
 
-    if args.command == "verify":
-        doc = _load_json(args.file)
-        m = ser.matroid_from_json(doc)
-        passed, checks = run_verify(m, deep=args.deep, limit=args.oracle_limit)
-        _emit({"matroid": doc.get("name"), "n": m.n, "r": m.r,
-               "deep": args.deep, "passed": passed, "checks": checks})
-        return 0 if passed else 2
 
-    raise AssertionError(f"unhandled command {args.command}")
+def _config(args) -> int:
+    m = ser.matroid_from_json(_load_json(args.file))
+    return _emit(ser.configuration_to_json(configuration_of(m)))
+
+
+def _config_catenary(args) -> int:
+    conf = ser.configuration_from_json(_load_json(args.file))
+    return _emit(ser.catenary_to_json(catenary_from_config(conf)))
+
+
+def _detect_freeproduct(args) -> int:
+    g = _load_ginvariant(args.file)
+    return _emit(ser.report_to_json(detect_free_product(g)))
+
+
+def _reconstruct(args) -> int:
+    deck = ser.deck_from_json(_load_json(args.deck))
+    if deck.role != args.role:
+        raise PresentationError(
+            f"deck file has role {deck.role!r}, command says {args.role!r}")
+    if not deck.entries:
+        raise PresentationError("empty deck")
+    return _emit(ser.ginvariant_to_json(RECONSTRUCTIONS[deck.role](deck)))
+
+
+def _verify(args) -> int:
+    doc = _load_json(args.file)
+    m = ser.matroid_from_json(doc)
+    passed, checks = run_verify(m, deep=args.deep, limit=args.oracle_limit)
+    _emit({"matroid": doc.get("name"), "n": m.n, "r": m.r,
+           "deep": args.deep, "passed": passed, "checks": checks})
+    return 0 if passed else 2
 
 
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return _run(args)
+        return args.run(args)
     except ExactnessError as exc:
         print(f"inconsistency: {exc}", file=sys.stderr)
         return 2

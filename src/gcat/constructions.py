@@ -33,6 +33,16 @@ def g_dual(g: GInvariant) -> GInvariant:
     return GInvariant(g.n, g.n - g.r, coeffs)
 
 
+def _demote(key: str) -> str:
+    i = key.rindex("1")
+    return key[:i] + "0" + key[i + 1:]
+
+
+def _promote(key: str) -> str:
+    i = key.index("0")
+    return key[:i] + "1" + key[i + 1:]
+
+
 def g_truncate(g: GInvariant) -> GInvariant:
     """Turn the rightmost 1 of each symbol into a 0.
 
@@ -45,24 +55,15 @@ def g_truncate(g: GInvariant) -> GInvariant:
     """
     if g.r < 1:
         raise ValueError("cannot truncate at rank 0")
-    coeffs = _accumulate((key[:i] + "0" + key[i + 1:], c)
-                         for key, c in g.coeffs.items()
-                         for i in (key.rindex("1"),))
+    coeffs = _accumulate((_demote(key), c) for key, c in g.coeffs.items())
     return GInvariant(g.n, g.r - 1, coeffs)
-
-
-def cat_truncate(c: CatenaryData) -> CatenaryData:
-    """Catenary data of the truncation, through the symbol-basis rewrite."""
-    return catenary_from_g(g_truncate(g_from_catenary(c)))
 
 
 def g_lift(g: GInvariant) -> GInvariant:
     """Turn the leftmost 0 of each symbol into a 1."""
     if g.r >= g.n:
         raise ValueError("cannot lift a matroid with no circuits")
-    coeffs = _accumulate((key[:i] + "1" + key[i + 1:], c)
-                         for key, c in g.coeffs.items()
-                         for i in (key.index("0"),))
+    coeffs = _accumulate((_promote(key), c) for key, c in g.coeffs.items())
     return GInvariant(g.n, g.r + 1, coeffs)
 
 
@@ -84,13 +85,14 @@ def _shuffles(a: tuple, b: tuple):
 
 
 def g_shuffle(g1: GInvariant, g2: GInvariant) -> GInvariant:
-    """Shuffle product: the G-invariant of the direct sum."""
-    coeffs = _accumulate(
-        ("".join(s), c1 * c2)
-        for k1, c1 in g1.coeffs.items()
-        for k2, c2 in g2.coeffs.items()
-        for s in _shuffles(tuple(k1), tuple(k2)))
-    return GInvariant(g1.n + g2.n, g1.r + g2.r, coeffs)
+    """G-invariant of the direct sum, through the gamma basis.
+
+    Only the catenary compositions of the two parts are shuffled, so the
+    work grows with their flag keys, not with C(n1+n2, n1) per pair of
+    symbols.  Inputs that are not matroid invariants raise ExactnessError.
+    """
+    return g_from_catenary(cat_direct_sum(catenary_from_g(g1),
+                                          catenary_from_g(g2)))
 
 
 def cat_direct_sum(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
@@ -146,28 +148,14 @@ def cat_add_loops(c: CatenaryData, h: int) -> CatenaryData:
 
 # -- free extension and coextension ----------------------------------------------
 
-def _demote(key: str) -> str:
-    i = key.rindex("1")
-    return key[:i] + "0" + key[i + 1:]
-
-
-def _promote(key: str) -> str:
-    i = key.index("0")
-    return key[:i] + "1" + key[i + 1:]
-
-
 def g_free_extension(g: GInvariant) -> GInvariant:
-    """Insert a 1 everywhere, then demote the rightmost 1 of each result."""
-    coeffs = _accumulate((_demote(s), c) for key, c in g.coeffs.items()
-                         for s in _insertions(key, "1"))
-    return GInvariant(g.n + 1, g.r, coeffs)
+    """The free extension is the truncation of M plus a coloop."""
+    return g_truncate(g_add_coloop(g))
 
 
 def g_free_coextension(g: GInvariant) -> GInvariant:
-    """Insert a 0 everywhere, then promote the leftmost 0 of each result."""
-    coeffs = _accumulate((_promote(s), c) for key, c in g.coeffs.items()
-                         for s in _insertions(key, "0"))
-    return GInvariant(g.n + 1, g.r + 1, coeffs)
+    """The free coextension is the lift of M plus a loop."""
+    return g_lift(g_add_loop(g))
 
 
 # -- free product -----------------------------------------------------------------

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 from .configuration import Configuration
 from .errors import ExactnessError
-from .ginvariant import GInvariant, catenary_from_g
+from .ginvariant import CatenaryData, GInvariant, catenary_from_g
 from .matroid import Matroid, elements_of
 from .parameters import flat_count, flat_count_coloops, g_split_at_unique_flat
 
@@ -38,9 +38,8 @@ def pinchpoints(c: Configuration) -> list[int]:
             and all(c.comparable(x, y) for y in range(c.m))]
 
 
-def _cyclic_census(g: GInvariant) -> dict[tuple[int, int], int]:
-    """Count of cyclic flats by (rank, size), from the invariant."""
-    c = catenary_from_g(g)
+def _cyclic_census(c: CatenaryData) -> dict[tuple[int, int], int]:
+    """Count of cyclic flats by (rank, size), from the catenary data."""
     out: dict[tuple[int, int], int] = {}
     for k in range(c.r + 1):
         for s in range(k, c.n + 1):
@@ -59,7 +58,7 @@ def detect_free_product(g: GInvariant) -> FactorizationReport:
     and above the candidate's rank.
     """
     c = catenary_from_g(g)
-    census = _cyclic_census(g)
+    census = _cyclic_census(c)
     factors = []
     for k in range(1, c.r):
         at_rank = [(kk, s) for (kk, s) in census if kk == k]
@@ -75,9 +74,9 @@ def detect_free_product(g: GInvariant) -> FactorizationReport:
         left, right = g_split_at_unique_flat(g, k, s0)
         below = sum(v for (kk, _), v in census.items() if kk <= k)
         above = sum(v for (kk, _), v in census.items() if kk >= k)
-        if sum(_cyclic_census(left).values()) != below:
+        if sum(_cyclic_census(catenary_from_g(left)).values()) != below:
             continue
-        if sum(_cyclic_census(right).values()) != above:
+        if sum(_cyclic_census(catenary_from_g(right)).values()) != above:
             continue
         factors.append((k, s0, left, right))
     return FactorizationReport(bool(factors), tuple(factors))

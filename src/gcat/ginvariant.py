@@ -23,7 +23,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ExactnessError
-from .matroid import Matroid, elements_of
+from .matroid import Matroid
 
 DEFAULT_ORACLE_LIMIT = 9
 
@@ -57,13 +57,6 @@ def comp_to_seq(comp) -> str:
     if comp[0] < 0 or any(a < 1 for a in comp[1:]):
         raise ValueError(f"not a composition: {comp}")
     return "0" * comp[0] + "".join("1" + "0" * (a - 1) for a in comp[1:])
-
-
-def seq_comp_bijection(x):
-    """Round-tripping converter between sequences and compositions."""
-    if isinstance(x, str):
-        return seq_to_comp(x)
-    return comp_to_seq(x)
 
 
 def dominates(b, a) -> bool:
@@ -291,8 +284,8 @@ def gamma_one(a: tuple) -> int:
 def catenary(m: Matroid) -> CatenaryData:
     """Flag counts by composition, via depth-first chain enumeration.
 
-    Covers of a flat X are the closures cl(X + e) for e outside X,
-    deduplicated, so no global flat-lattice precomputation is needed.
+    Covers come from `Matroid.covers` one flat at a time, so no global
+    flat-lattice precomputation is needed.
     """
     completions: dict[int, Counter] = {m.full: Counter({(): 1})}
 
@@ -300,10 +293,8 @@ def catenary(m: Matroid) -> CatenaryData:
         got = completions.get(flat)
         if got is not None:
             return got
-        covers = {m.closure(flat | (1 << e))
-                  for e in elements_of(m.full & ~flat)}
         agg = Counter()
-        for cov in covers:
+        for cov in m.covers(flat):
             step = (cov & ~flat).bit_count()
             for suffix, cnt in rec(cov).items():
                 agg[(step,) + suffix] += cnt

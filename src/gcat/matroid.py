@@ -123,13 +123,12 @@ class Matroid:
                 break
         return m
 
-    def is_basis(self, x: int) -> bool:
-        return x in self.bases
-
-    def is_independent(self, x: int) -> bool:
-        return self.rank(x) == x.bit_count()
-
     # -- flats -----------------------------------------------------------
+
+    def covers(self, flat: int) -> set[int]:
+        """The flats covering `flat`: cl(flat + e) for each e outside it."""
+        return {self.closure(flat | (1 << e))
+                for e in elements_of(self.full & ~flat)}
 
     def flats_of_rank(self, k: int) -> list[int]:
         """All rank-k flats, each once.  k = r-1 yields the copoints."""
@@ -138,12 +137,8 @@ class Matroid:
         if self._flats_by_rank is None:
             levels = [[self.closure(0)]]
             for _ in range(self.r):
-                covers = set()
-                for f in levels[-1]:
-                    rest = self.full & ~f
-                    for e in elements_of(rest):
-                        covers.add(self.closure(f | (1 << e)))
-                levels.append(sorted(covers))
+                levels.append(sorted(set().union(
+                    *(self.covers(f) for f in levels[-1]))))
             self._flats_by_rank = levels
         return list(self._flats_by_rank[k])
 
@@ -179,18 +174,6 @@ class Matroid:
         """Unions of circuits: complements of the flats of the dual."""
         dual = self.dual()
         return sorted(self.full & ~f for f, _ in dual.flats())
-
-    def set_families(self, kind: str) -> list[tuple[int, int]]:
-        """The circuits, cocircuits, or cyclic sets of M, with their ranks."""
-        if kind == "circuits":
-            fam = self.circuits()
-        elif kind == "cocircuits":
-            fam = self.cocircuits()
-        elif kind == "cyclic_sets":
-            fam = self.cyclic_sets()
-        else:
-            raise ValueError(f"unknown set family {kind!r}")
-        return [(x, self.rank(x)) for x in sorted(fam)]
 
     def is_cyclic(self, x: int) -> bool:
         """True when the restriction to x has no coloops."""
@@ -288,26 +271,6 @@ class Matroid:
             raise ValueError("relaxation target is not a circuit")
         return Matroid(self.n, self.bases | {x}, validate=False)
 
-    def construct(self, op: str, x: int | None = None) -> "Matroid":
-        """Dispatch for the named unary constructions."""
-        if op == "truncate":
-            return self.truncate()
-        if op == "lift":
-            return self.lift()
-        if op == "free_extension":
-            return self.free_extension()
-        if op == "free_coextension":
-            return self.free_coextension()
-        if op == "add_coloop":
-            return self.add_coloop()
-        if op == "add_loop":
-            return self.add_loop()
-        if op == "relax":
-            if x is None:
-                raise ValueError("relax needs a target set")
-            return self.relax(x)
-        raise ValueError(f"unknown construction {op!r}")
-
     # -- binary constructions ----------------------------------------------
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
@@ -328,13 +291,6 @@ class Matroid:
             if self.rank(b1) == b1.bit_count() and other.rank(b2) == other.r:
                 bases.add(b)
         return Matroid(n, bases, validate=False)
-
-    def combine(self, other: "Matroid", op: str) -> "Matroid":
-        if op == "direct_sum":
-            return self.direct_sum(other)
-        if op == "free_product":
-            return self.free_product(other)
-        raise ValueError(f"unknown combination {op!r}")
 
     # -- misc ---------------------------------------------------------------
 
@@ -529,6 +485,20 @@ def from_bases(n: int, bases, **kw) -> Matroid:
                    **kw)
 
 
+# presentation kind -> (needs ground_set_size, builder(record, n, validate))
+_PRESENTATIONS = {
+    "bases": (True, lambda p, n, v: from_bases(n, p["bases"], validate=v)),
+    "uniform": (True, lambda p, n, v: uniform(int(p["rank"]), n, validate=v)),
+    "graph": (False, lambda p, n, v: from_graph(p["edges"], validate=v)),
+    "paving_copoints": (True, lambda p, n, v: from_paving_copoints(
+        n, int(p["rank"]), p["copoints"], validate=v)),
+    "cyclic_flats": (True, lambda p, n, v: from_cyclic_flats(
+        n, [(item["elements"], item["rank"]) for item in p["flats"]],
+        validate=v)),
+    "dowling3": (False, lambda p, n, v: dowling3(p["group_table"], validate=v)),
+}
+
+
 def build_matroid(presentation: dict, n: int | None = None,
                   validate: bool | None = None) -> Matroid:
     """Build a matroid from a presentation record (the JSON payload shape)."""
@@ -536,30 +506,12 @@ def build_matroid(presentation: dict, n: int | None = None,
         raise PresentationError("presentation must be a dict with a 'kind'")
     kind = presentation["kind"]
     try:
-        if kind == "bases":
-            if n is None:
-                raise PresentationError("ground_set_size is required")
-            return from_bases(n, presentation["bases"], validate=validate)
-        if kind == "uniform":
-            if n is None:
-                raise PresentationError("ground_set_size is required")
-            return uniform(int(presentation["rank"]), n, validate=validate)
-        if kind == "graph":
-            return from_graph(presentation["edges"], validate=validate)
-        if kind == "paving_copoints":
-            if n is None:
-                raise PresentationError("ground_set_size is required")
-            return from_paving_copoints(n, int(presentation["rank"]),
-                                        presentation["copoints"],
-                                        validate=validate)
-        if kind == "cyclic_flats":
-            if n is None:
-                raise PresentationError("ground_set_size is required")
-            flats = [(item["elements"], item["rank"])
-                     for item in presentation["flats"]]
-            return from_cyclic_flats(n, flats, validate=validate)
-        if kind == "dowling3":
-            return dowling3(presentation["group_table"], validate=validate)
+        sized, build = _PRESENTATIONS[kind]
+    except (KeyError, TypeError):
+        raise PresentationError(f"unknown presentation kind {kind!r}") from None
+    if sized and n is None:
+        raise PresentationError("ground_set_size is required")
+    try:
+        return build(presentation, n, validate)
     except KeyError as exc:
         raise PresentationError(f"presentation is missing field {exc}") from exc
-    raise PresentationError(f"unknown presentation kind {kind!r}")

@@ -96,11 +96,6 @@ def _perm(j: int, c: int) -> int:
     return math.factorial(j) // math.factorial(j - c)
 
 
-def cyclic_flat_count(c: CatenaryData, k: int, s: int) -> int:
-    """Number of cyclic flats of rank k and size s: f_k(s, 0)."""
-    return flat_count_coloops(c, k, s, 0)
-
-
 def family_counts(g: GInvariant, kind: str, size: int,
                   rank: int | None = None) -> int:
     """Count cocircuits, circuits, or cyclic sets of a given size.

@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from gcat import g_invariant, uniform
 from gcat.cli import main
 from gcat.reconstruction import copoint_deck, rank_deck
@@ -171,6 +173,12 @@ class TestReconstruct:
         assert code == 0
         assert json.loads(out)["coeffs"] == {"110100": "144", "111000": "576"}
 
+    def test_rank_k_empty_deck(self, capsys, tmp_path):
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps({"role": "rank-k", "entries": []}))
+        assert main(["reconstruct", "--deck", str(path), "--role", "rank-k"]) == 1
+        assert capsys.readouterr().err == "error: empty deck\n"
+
     def test_role_mismatch(self, capsys, tmp_path, named):
         path = tmp_path / "deck.json"
         path.write_text(canonical_dumps(
@@ -224,3 +232,16 @@ class TestErrors:
         bad.write_text(json.dumps(
             {"n": 3, "r": 2, "coeffs": {"110": "1"}}))
         assert main(["tutte", str(bad)]) == 2
+
+    # the first total is not 3!; the second totals 2! but has a negative
+    # gamma coordinate
+    @pytest.mark.parametrize("payload", [
+        {"n": 3, "r": 1, "coeffs": {"100": "-6"}},
+        {"n": 2, "r": 1, "coeffs": {"01": "2"}}])
+    @pytest.mark.parametrize("command", [["tutte"], ["op", "dual"]])
+    def test_invariant_file_must_be_an_invariant(self, capsys, tmp_path,
+                                                  payload, command):
+        bad = tmp_path / "bad-g.json"
+        bad.write_text(json.dumps(payload))
+        assert main(command + [str(bad)]) == 2
+        assert capsys.readouterr().out == ""

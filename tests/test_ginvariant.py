@@ -12,16 +12,16 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   basis_count, catenary, catenary_from_g, comp_to_seq,
                   compositions, dominates, from_graph,
                   g_brute_force, g_from_catenary, g_invariant, gamma_expand,
-                  paving_catenary, pmd_catenary, seq_comp_bijection,
-                  seq_to_comp, tutte_brute_force, tutte_from_g, uniform)
+                  paving_catenary, pmd_catenary, seq_to_comp,
+                  tutte_brute_force, tutte_from_g, uniform)
 from conftest import K4_EDGES, load_data
 
 
 class TestBijection:
     def test_examples(self):
-        assert seq_comp_bijection("110100") == (0, 1, 2, 3)
-        assert seq_comp_bijection((0, 1, 1, 4)) == "111000"
-        assert seq_comp_bijection("0011") == (2, 1, 1)
+        assert seq_to_comp("110100") == (0, 1, 2, 3)
+        assert comp_to_seq((0, 1, 1, 4)) == "111000"
+        assert seq_to_comp("0011") == (2, 1, 1)
 
     @given(st.lists(st.sampled_from("01"), max_size=12).map("".join))
     def test_round_trip(self, seq):

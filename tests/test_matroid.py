@@ -144,14 +144,13 @@ class TestQueries:
 
     def test_set_families(self):
         u23 = uniform(2, 3)
-        assert u23.set_families("circuits") == [(0b111, 2)]
+        assert u23.circuits() == [0b111]
         k4 = from_graph(K4_EDGES)
-        stars = [c for c, _ in k4.set_families("cocircuits")
-                 if c.bit_count() == 3]
+        stars = [c for c in k4.cocircuits() if c.bit_count() == 3]
         assert len(stars) == 4
         m = load_data("fig1-m")
-        cyc = [c for c, r in m.set_families("cyclic_sets")
-               if c.bit_count() == 3 and r == 2]
+        cyc = [c for c in m.cyclic_sets()
+               if c.bit_count() == 3 and m.rank(c) == 2]
         assert sorted(cyc) == [mask_of([0, 1, 2]), mask_of([3, 4, 5])]
 
     def test_cocircuits_by_exhaustive_minimality(self):
@@ -221,13 +220,6 @@ class TestConstructions:
         for name, m in corpus:
             if m.r < m.n:
                 assert m.lift() == m.dual().truncate().dual(), name
-
-    def test_construct_dispatch(self):
-        m = uniform(2, 4)
-        assert m.construct("truncate") == m.truncate()
-        assert m.construct("add_loop").n == 5
-        with pytest.raises(ValueError):
-            m.construct("nope")
 
 
 class TestCombine:
