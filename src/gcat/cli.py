@@ -57,13 +57,17 @@ RECONSTRUCTIONS = {
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object a file holds; every command's input is one."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except OSError as exc:
         raise PresentationError(f"cannot read {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise PresentationError(f"{path} is not valid JSON: {exc}") from exc
+    if not isinstance(doc, dict):
+        raise PresentationError(f"{path} must hold a JSON object")
+    return doc
 
 
 def _load_ginvariant(path: str):

@@ -13,9 +13,10 @@ from dataclasses import dataclass
 
 from .configuration import Configuration
 from .errors import ExactnessError
-from .ginvariant import CatenaryData, GInvariant, catenary_from_g
+from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
+                         g_from_catenary)
 from .matroid import Matroid, elements_of
-from .parameters import flat_count, flat_count_coloops, g_split_at_unique_flat
+from .parameters import flat_count, flat_count_coloops, _split_at_unique_flat
 
 
 @dataclass(frozen=True)
@@ -71,14 +72,14 @@ def detect_free_product(g: GInvariant) -> FactorizationReport:
         s0 = at_rank[0][1]
         if flat_count(c, k, s0) != 1:
             continue
-        left, right = g_split_at_unique_flat(g, k, s0)
+        left, right = _split_at_unique_flat(c, k, s0)
         below = sum(v for (kk, _), v in census.items() if kk <= k)
         above = sum(v for (kk, _), v in census.items() if kk >= k)
-        if sum(_cyclic_census(catenary_from_g(left)).values()) != below:
+        if sum(_cyclic_census(left).values()) != below:
             continue
-        if sum(_cyclic_census(catenary_from_g(right)).values()) != above:
+        if sum(_cyclic_census(right).values()) != above:
             continue
-        factors.append((k, s0, left, right))
+        factors.append((k, s0, g_from_catenary(left), g_from_catenary(right)))
     return FactorizationReport(bool(factors), tuple(factors))
 
 

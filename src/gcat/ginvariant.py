@@ -16,7 +16,7 @@ from __future__ import annotations
 import itertools
 import math
 import os
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -282,29 +282,25 @@ def gamma_one(a: tuple) -> int:
 # -- catenary data of a matroid -----------------------------------------------
 
 def catenary(m: Matroid) -> CatenaryData:
-    """Flag counts by composition, via depth-first chain enumeration.
+    """Flag counts by composition, by a walk up the flats rank by rank.
 
-    Covers come from `Matroid.covers` one flat at a time, so no global
-    flat-lattice precomputation is needed.
+    Each rank-k flat carries a counter of the compositions of the chains
+    from the bottom flat up to it; the covers of the rank-k flats, from
+    `Matroid.covers`, extend those chains to rank k+1.  Only two ranks of
+    counters are held at a time, and the top flat's counter is the result.
     """
-    completions: dict[int, Counter] = {m.full: Counter({(): 1})}
-
-    def rec(flat: int) -> Counter:
-        got = completions.get(flat)
-        if got is not None:
-            return got
-        agg = Counter()
-        for cov in m.covers(flat):
-            step = (cov & ~flat).bit_count()
-            for suffix, cnt in rec(cov).items():
-                agg[(step,) + suffix] += cnt
-        completions[flat] = agg
-        return agg
-
     bottom = m.closure(0)
-    counts = {(bottom.bit_count(),) + suffix: cnt
-              for suffix, cnt in rec(bottom).items()}
-    return CatenaryData(m.n, m.r, counts)
+    level = {bottom: Counter({(bottom.bit_count(),): 1})}
+    for _ in range(m.r):
+        above: dict[int, Counter] = defaultdict(Counter)
+        for flat, prefixes in level.items():
+            for cov in m.covers(flat):
+                step = ((cov & ~flat).bit_count(),)
+                acc = above[cov]
+                for prefix, cnt in prefixes.items():
+                    acc[prefix + step] += cnt
+        level = above
+    return CatenaryData(m.n, m.r, level[m.full])
 
 
 def g_from_catenary(c: CatenaryData) -> GInvariant:

@@ -1,11 +1,15 @@
 """Explicit matroids on the ground set {0, ..., n-1}.
 
-The canonical internal presentation is the collection of bases; every other
-presentation compiles down to it.  Subsets of the ground set are plain Python
-ints used as bitmasks, so all derived structure (rank, closure, flats,
-circuits, cyclic flats, minors, duals) reduces to popcount scans over the
-basis list.  Everything here is desk-scale and exact; these matroids double
-as ground-truth oracles for the invariant-level machinery.
+Subsets of the ground set are plain Python ints used as bitmasks.  A matroid
+answers rank queries through a rank function on bitmasks that its
+presentation supplies: union-find for a graph, min(|X|, r) for a uniform
+matroid, copoint containment for a paving matroid, the min-formula for
+cyclic flats.  Closure, covers and flats are built from rank alone.  The
+collection of bases is still built for every matroid; a matroid given by its
+bases, and every derived matroid (minors, duals, truncations, ...), ranks a
+set by its largest intersection with a basis.  Everything here is
+desk-scale and exact; these matroids double as ground-truth oracles for the
+invariant-level machinery.
 """
 
 from __future__ import annotations
@@ -30,26 +34,34 @@ def mask_of(elements) -> int:
 def elements_of(mask: int) -> list[int]:
     """Sorted element indices of a bitmask."""
     out = []
-    e = 0
     while mask:
-        if mask & 1:
-            out.append(e)
-        mask >>= 1
-        e += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 
+def _basis_scan(bases):
+    """Rank as the largest intersection with a basis."""
+    def rank_of(x):
+        return max((x & b).bit_count() for b in bases)
+    return rank_of
+
+
 class Matroid:
-    """A matroid with ground set {0, ..., n-1}, presented by its bases.
+    """A matroid with ground set {0, ..., n-1}, with its bases.
 
     `bases` is a frozenset of bitmasks, all of the same popcount `r`.
+    `rank_of` is the presentation's rank function on bitmasks and must agree
+    with the bases; without it a set is ranked by a scan of the bases.
     Instances are immutable; every operation returns a new matroid.
     """
 
-    __slots__ = ("n", "bases", "r", "full", "_rank_cache", "_flats_by_rank",
-                 "_circuits", "_closure_cache")
+    __slots__ = ("n", "bases", "r", "full", "_rank_of", "_rank_cache",
+                 "_flats_by_rank", "_circuits", "_closure_cache")
 
-    def __init__(self, n: int, bases, *, validate: bool | None = None):
+    def __init__(self, n: int, bases, *, validate: bool | None = None,
+                 rank_of=None):
         bases = frozenset(int(b) for b in bases)
         if not bases:
             raise PresentationError("a matroid needs at least one basis")
@@ -63,6 +75,8 @@ class Matroid:
         self.bases = bases
         self.r = sizes.pop()
         self.full = full
+        # a closure over the bases, not a bound method: no reference cycle
+        self._rank_of = rank_of or _basis_scan(bases)
         self._rank_cache = {0: 0}
         self._closure_cache = {}
         self._flats_by_rank = None
@@ -73,14 +87,27 @@ class Matroid:
             self._check_exchange()
 
     def _check_exchange(self):
+        """For all bases b1, b2 and x in b1 - b2, some y in b2 - b1 has
+        b1 - x + y a basis.
+
+        Per b1, the y that complete b1 - x to a basis are precomputed as a
+        mask for each x, so each (b1, b2, x) is one test against b2.
+        """
         bases = self.bases
         for b1 in bases:
+            outside = [1 << y for y in elements_of(self.full & ~b1)]
+            # b2 passes at x when it holds x itself or one of its swaps
+            needs = []
+            for x in elements_of(b1):
+                stub = b1 & ~(1 << x)
+                need = 1 << x
+                for y in outside:
+                    if stub | y in bases:
+                        need |= y
+                needs.append((x, need))
             for b2 in bases:
-                only1 = b1 & ~b2
-                gain = b2 & ~b1
-                for x in elements_of(only1):
-                    stub = b1 & ~(1 << x)
-                    if not any(stub | (1 << y) in bases for y in elements_of(gain)):
+                for x, need in needs:
+                    if not b2 & need:
                         raise PresentationError(
                             f"basis-exchange fails for {elements_of(b1)}, "
                             f"{elements_of(b2)} at element {x}")
@@ -90,7 +117,7 @@ class Matroid:
     def rank(self, x: int) -> int:
         cached = self._rank_cache.get(x)
         if cached is None:
-            cached = max((x & b).bit_count() for b in self.bases)
+            cached = self._rank_of(x)
             self._rank_cache[x] = cached
         return cached
 
@@ -126,9 +153,19 @@ class Matroid:
     # -- flats -----------------------------------------------------------
 
     def covers(self, flat: int) -> set[int]:
-        """The flats covering `flat`: cl(flat + e) for each e outside it."""
-        return {self.closure(flat | (1 << e))
-                for e in elements_of(self.full & ~flat)}
+        """The flats covering `flat`: cl(flat + e) for each e outside it.
+
+        The covers partition the elements outside `flat`, so an element
+        already inside a cover found here needs no closure of its own.
+        """
+        found = set()
+        rest = self.full & ~flat
+        while rest:
+            low = rest & -rest
+            cov = self.closure(flat | low)
+            found.add(cov)
+            rest &= ~cov
+        return found
 
     def flats_of_rank(self, k: int) -> list[int]:
         """All rank-k flats, each once.  k = r-1 yields the copoints."""
@@ -307,68 +344,59 @@ class Matroid:
 
 # -- presentations ---------------------------------------------------------
 
+def _from_rank(n: int, rank_of, **kw) -> Matroid:
+    """The matroid of a rank function: bases are the full-rank r-subsets."""
+    r = rank_of((1 << n) - 1)
+    bases = [b for b in map(mask_of, itertools.combinations(range(n), r))
+             if rank_of(b) == r]
+    if not bases:
+        raise PresentationError("presentation admits no basis")
+    return Matroid(n, bases, rank_of=rank_of, **kw)
+
+
 def uniform(r: int, n: int, **kw) -> Matroid:
     if not 0 <= r <= n:
         raise PresentationError(f"U({r},{n}) is not a matroid")
-    return Matroid(n, (mask_of(c) for c in itertools.combinations(range(n), r)),
-                   validate=False)
+    return _from_rank(n, lambda x: min(x.bit_count(), r), validate=False)
 
 
 def from_graph(edges, **kw) -> Matroid:
-    """Cycle matroid of a multigraph given as a list of (u, v) edges."""
+    """Cycle matroid of a multigraph given as a list of (u, v) edges.
+
+    The rank of an edge set is the number of union-find merges it makes.
+    """
     edges = [tuple(e) for e in edges]
-    verts = sorted({v for e in edges for v in e})
-    index = {v: i for i, v in enumerate(verts)}
+    index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
+    ends = [(index[u], index[v]) for u, v in edges]
+    nverts = len(index)
 
-    def forest_rank(edge_ids):
-        parent = list(range(len(verts)))
+    def rank_of(x):
+        parent = list(range(nverts))
+        merges = 0
+        while x:
+            low = x & -x
+            x ^= low
+            u, v = ends[low.bit_length() - 1]
+            while parent[u] != u:
+                parent[u] = u = parent[parent[u]]
+            while parent[v] != v:
+                parent[v] = v = parent[parent[v]]
+            if u != v:
+                parent[u] = v
+                merges += 1
+        return merges
 
-        def find(a):
-            while parent[a] != a:
-                parent[a] = parent[parent[a]]
-                a = parent[a]
-            return a
-
-        count = 0
-        for i in edge_ids:
-            u, v = edges[i]
-            ru, rv = find(index[u]), find(index[v])
-            if ru == rv:
-                return -1  # cycle
-            parent[ru] = rv
-            count += 1
-        return count
-
-    ncomp = 0
-    seen = set()
-    adj = {v: set() for v in verts}
-    for u, v in edges:
-        adj[u].add(v)
-        adj[v].add(u)
-    for v in verts:
-        if v not in seen:
-            ncomp += 1
-            stack = [v]
-            while stack:
-                w = stack.pop()
-                if w in seen:
-                    continue
-                seen.add(w)
-                stack.extend(adj[w] - seen)
-    r = len(verts) - ncomp
-    bases = set()
-    for combo in itertools.combinations(range(len(edges)), r):
-        if forest_rank(combo) == r:
-            bases.add(mask_of(combo))
-    return Matroid(len(edges), bases, **kw)
+    return _from_rank(len(edges), rank_of, **kw)
 
 
 def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
     """Paving matroid with the given large copoints (size >= r).
 
-    Bases are the r-subsets contained in no listed copoint; copoints of size
-    r-1 are implicit.  Well-formedness beyond the pairwise-intersection check
-    is left to the exchange-axiom validation.
+    Copoints of size r-1 are implicit.  Two listed copoints may share at
+    most r-2 elements, as hyperplanes of a paving matroid do; then each
+    (r-1)-subset lies in at most one listed copoint, and a set of at least
+    r elements has rank r-1 when it lies inside a listed copoint and r
+    otherwise.
     """
     if r < 1 or r > n:
         raise PresentationError(f"paving rank {r} out of range for n={n}")
@@ -382,18 +410,18 @@ def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
         if c == full:
             raise PresentationError("a copoint cannot be the whole ground set")
     for c1, c2 in itertools.combinations(masks, 2):
-        if (c1 & c2).bit_count() >= r:
+        if (c1 & c2).bit_count() >= r - 1:
             raise PresentationError(
-                "two listed copoints share an r-subset: "
+                f"two listed copoints share r-1 = {r - 1} or more elements: "
                 f"{elements_of(c1)} and {elements_of(c2)}")
-    bases = set()
-    for combo in itertools.combinations(range(n), r):
-        b = mask_of(combo)
-        if not any(b & ~c == 0 for c in masks):
-            bases.add(b)
-    if not bases:
-        raise PresentationError("presentation admits no basis")
-    return Matroid(n, bases, **kw)
+
+    def rank_of(x):
+        size = x.bit_count()
+        if size < r:
+            return size
+        return r - 1 if any(x & ~c == 0 for c in masks) else r
+
+    return _from_rank(n, rank_of, **kw)
 
 
 def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
@@ -401,7 +429,9 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
 
     `flats` is a list of (elements, rank) pairs; the rank of any set X is
     min over listed pairs of rank(F) + |X - F|.  The list must contain the
-    minimal cyclic flat (the loops, possibly the empty set).
+    minimal cyclic flat (the loops, possibly the empty set) with rank 0.
+    The min-formula is a matroid rank function exactly when it is
+    submodular on every pair of listed sets, which is checked.
     """
     pairs = []
     full = (1 << n) - 1
@@ -413,22 +443,21 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
     if not pairs:
         raise PresentationError("at least one cyclic flat (the loop set) is required")
 
-    def rk(x):
+    def rank_of(x):
         return min(k + (x & ~f).bit_count() for f, k in pairs)
 
+    if rank_of(0) != 0:
+        raise PresentationError("no listed cyclic flat has rank 0 (the loop set)")
     for f, k in pairs:
-        if rk(f) != k:
+        if rank_of(f) != k:
             raise PresentationError(
                 f"listed rank {k} of {elements_of(f)} is inconsistent")
-    r = rk(full)
-    bases = set()
-    for combo in itertools.combinations(range(n), r):
-        b = mask_of(combo)
-        if rk(b) == r:
-            bases.add(b)
-    if not bases:
-        raise PresentationError("presentation admits no basis")
-    return Matroid(n, bases, **kw)
+    for (f1, k1), (f2, k2) in itertools.combinations(pairs, 2):
+        if rank_of(f1 | f2) + rank_of(f1 & f2) > k1 + k2:
+            raise PresentationError(
+                f"ranks of {elements_of(f1)} and {elements_of(f2)} "
+                "are not submodular")
+    return _from_rank(n, rank_of, **kw)
 
 
 def _check_group_table(table) -> list[list[int]]:

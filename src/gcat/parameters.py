@@ -165,7 +165,13 @@ def g_split_at_unique_flat(g: GInvariant, k: int, s: int
     whole matroid with the complementary parts pinned to a fixed size
     sequence, divided by the number of chains realizing that sequence.
     """
-    c = catenary_from_g(g)
+    rest, contr = _split_at_unique_flat(catenary_from_g(g), k, s)
+    return g_from_catenary(rest), g_from_catenary(contr)
+
+
+def _split_at_unique_flat(c: CatenaryData, k: int, s: int
+                          ) -> tuple[CatenaryData, CatenaryData]:
+    """`g_split_at_unique_flat` from catenary data to catenary data."""
     n, r = c.n, c.r
     if not 0 <= k <= r:
         raise ValueError(f"flat rank {k} out of range 0..{r}")
@@ -186,7 +192,6 @@ def g_split_at_unique_flat(g: GInvariant, k: int, s: int
                 f"restriction coordinate {comp[:k + 1]} = {cnt}/{cnt_up} "
                 "is not integral")
         rest[comp[:k + 1]] = cnt // cnt_up
-    g_rest = g_from_catenary(CatenaryData(s, k, rest))
 
     # contraction: pin a sequence from (0, loops) up to (k, s)
     cnt_dn, sizes_dn = _best_chain_sizes(c, 0, k, loops, s)
@@ -200,5 +205,4 @@ def g_split_at_unique_flat(g: GInvariant, k: int, s: int
                 f"contraction coordinate {comp[k + 1:]} = {cnt}/{cnt_dn} "
                 "is not integral")
         contr[(0,) + comp[k + 1:]] = cnt // cnt_dn
-    g_contr = g_from_catenary(CatenaryData(n - s, r - k, contr))
-    return g_rest, g_contr
+    return CatenaryData(s, k, rest), CatenaryData(n - s, r - k, contr)

@@ -25,8 +25,6 @@ def canonical_dumps(value) -> str:
 # -- matroids ---------------------------------------------------------------
 
 def matroid_from_json(doc: dict) -> Matroid:
-    if not isinstance(doc, dict):
-        raise PresentationError("matroid file must hold a JSON object")
     n = doc.get("ground_set_size")
     pres = doc.get("presentation")
     if pres is None:

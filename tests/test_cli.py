@@ -221,6 +221,14 @@ class TestErrors:
         bad.write_text("{nope")
         assert main(["ginv", str(bad)]) == 1
 
+    @pytest.mark.parametrize("text", ["3", "null", '"coeffs"'])
+    @pytest.mark.parametrize("command", ["tutte", "ginv"])
+    def test_file_must_hold_an_object(self, capsys, tmp_path, text, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text)
+        assert main([command, str(bad)]) == 1
+        assert capsys.readouterr().err.startswith("error:")
+
     def test_bad_presentation(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({"ground_set_size": 3, "presentation": {

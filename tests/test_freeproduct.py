@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import gcat
 from gcat import (configuration_of, detect_free_product, elements_of,
                   factor_at_pinchpoint, from_graph, g_invariant, mask_of,
                   pinchpoints, uniform)
@@ -58,6 +59,22 @@ class TestDetect:
         m2 = uniform(1, 2).free_product(uniform(1, 2)).add_coloop()
         rep = detect_free_product(g_invariant(m2))
         assert [(k, s) for k, s, _, _ in rep.factors] == [(1, 2)]
+
+    def test_each_invariant_is_solved_once(self, monkeypatch):
+        # rank 7, n = 13, with pinchpoints at ranks 3 and 5
+        prod = from_graph(K4_EDGES).free_product(uniform(2, 4)) \
+            .free_product(uniform(2, 3))
+        g = g_invariant(prod)
+        solved = []
+        for module in (gcat.freeproduct, gcat.parameters):
+            solve = module.catenary_from_g
+
+            def counted(h, solve=solve):
+                solved.append(h)
+                return solve(h)
+            monkeypatch.setattr(module, "catenary_from_g", counted)
+        assert detect_free_product(g).is_proper
+        assert len(solved) == len(set(solved))
 
     def test_sharp_products_recover_parts(self, corpus, named, cache):
         pool = [(name, m) for name, m in corpus

@@ -123,6 +123,13 @@ class TestCatenary:
     def test_u24(self):
         assert catenary(uniform(2, 4)).counts == {(0, 1, 3): 4}
 
+    def test_k7_spanning_trees(self):
+        k7 = [(a, b) for a in range(7) for b in range(a + 1, 7)]
+        assert basis_count(catenary(from_graph(k7))) == 7 ** 5  # Cayley
+
+    def test_u516_is_a_design(self):
+        assert catenary(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
+
     def test_rank0_and_empty(self):
         assert catenary(uniform(0, 2)).counts == {(2,): 1}
         assert catenary(uniform(0, 0)).counts == {(0,): 1}

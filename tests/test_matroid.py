@@ -3,6 +3,8 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcat import (Matroid, PresentationError, build_matroid, dowling3,
                   elements_of, from_cyclic_flats, from_graph,
@@ -68,6 +70,12 @@ class TestBuild:
         with pytest.raises(PresentationError):
             from_paving_copoints(6, 3, [[0, 1, 2, 3], [1, 2, 3, 4]])
 
+    def test_paving_rejects_copoints_meeting_in_r_minus_1(self):
+        # lines of a rank-2 paving matroid are disjoint; these two share 0,
+        # and their bases would make 0 a loop of a non-paving matroid
+        with pytest.raises(PresentationError):
+            from_paving_copoints(5, 2, [[0, 1, 2], [0, 3, 4]])
+
     def test_empty_bases_rejected(self):
         with pytest.raises(PresentationError):
             Matroid(3, [])
@@ -88,6 +96,18 @@ class TestBuild:
         # the pair ({0,1}, 0) forces rank(E) = 2, contradicting the listed 3
         with pytest.raises(PresentationError):
             from_cyclic_flats(4, [([], 0), ([0, 1], 0), ([0, 1, 2, 3], 3)])
+
+    def test_cyclic_flats_must_be_submodular(self):
+        # r({0,1}) + r({1,2}) = 2 < r({0,1,2}) + r({1}) = 3 under the
+        # min-formula, although the derived bases ({0,2,3} alone) pass the
+        # exchange check
+        with pytest.raises(PresentationError):
+            from_cyclic_flats(4, [([], 0), ([0, 1], 1), ([1, 2], 1)])
+
+    def test_cyclic_flats_need_a_rank_0_flat(self):
+        # the min-formula would give every nonempty set rank 2
+        with pytest.raises(PresentationError):
+            from_cyclic_flats(3, [([0, 1, 2], 2)])
 
     def test_dowling_trivial_group_is_k4(self):
         q = dowling3([[0]])
@@ -328,3 +348,86 @@ class TestAxioms:
                     below = [z for z in zf
                              if z & ~(f1 & f2) == 0]
                     assert meet == max(below, key=lambda z: z.bit_count())
+
+
+# -- presentation rank oracles -------------------------------------------------
+
+def _subsets(n, min_size=0):
+    return st.sets(st.integers(0, n - 1), min_size=min_size, max_size=n)
+
+
+@st.composite
+def _graphs(draw):
+    nverts = draw(st.integers(1, 5))
+    vert = st.integers(0, nverts - 1)
+    # small vertex counts make loops and parallel edges common
+    return from_graph(draw(st.lists(st.tuples(vert, vert), max_size=10)))
+
+
+@st.composite
+def _uniforms(draw):
+    n = draw(st.integers(0, 10))
+    return uniform(draw(st.integers(0, n)), n)
+
+
+@st.composite
+def _pavings(draw):
+    n = draw(st.integers(3, 10))
+    r = draw(st.integers(2, min(4, n - 1)))
+    kept = []
+    for c in draw(st.lists(_subsets(n, r), max_size=8)):
+        c = mask_of(c)
+        if c != (1 << n) - 1 and all((c & d).bit_count() <= r - 2 for d in kept):
+            kept.append(c)
+    return from_paving_copoints(n, r, kept)
+
+
+@st.composite
+def _nested(draw):
+    # sizes, ranks and nullities strictly increase along the chain; elements
+    # above its top are coloops
+    n = draw(st.integers(1, 10))
+    chain = [(draw(st.integers(0, n)), 0)]
+    while chain[-1][0] <= n - 2 and draw(st.booleans()):
+        s0, k = chain[-1]
+        size = draw(st.integers(s0 + 2, n))
+        chain.append((size, draw(st.integers(k + 1, k + size - s0 - 1))))
+    labels = draw(st.permutations(range(n)))
+    return from_cyclic_flats(n, [(labels[:s], k) for s, k in chain])
+
+
+_DOWLING = st.sampled_from([[[0]], [[0, 1], [1, 0]]]).map(dowling3)
+
+
+class TestRankOracle:
+    """The presentation's rank function against the scan of its bases."""
+
+    @staticmethod
+    def _check(m):
+        bases = list(m.bases)
+        for x in range(1 << m.n):
+            assert m.rank(x) == max((x & b).bit_count() for b in bases), x
+        for f, _ in m.flats():
+            assert m.covers(f) == {m.closure(f | (1 << e))
+                                   for e in elements_of(m.full & ~f)}, f
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.one_of(_graphs(), _uniforms(), _pavings(), _nested(), _DOWLING))
+    def test_rank_is_the_basis_scan(self, m):
+        self._check(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_accepted_cyclic_flat_lists_rank_exactly(self, data):
+        # arbitrary lists above the empty rank-0 flat; most are rejected,
+        # and an accepted one must rank by its min-formula exactly
+        n = data.draw(st.integers(1, 6))
+        flats = [([], 0)]
+        for f in data.draw(st.lists(_subsets(n, 1), min_size=1, max_size=3)):
+            flats.append((sorted(f), data.draw(
+                st.integers(1, max(1, len(f) - 1)))))
+        try:
+            m = from_cyclic_flats(n, flats)
+        except PresentationError:
+            return
+        self._check(m)
