@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 from .ginvariant import CatenaryData, basis_count, _falling
@@ -32,6 +32,9 @@ class Configuration:
     sizes: tuple[int, ...]
     ranks: tuple[int, ...]
     less: frozenset[tuple[int, int]]
+    # the unique minimum and maximum nodes, found once by __post_init__
+    bottom: int = field(init=False, compare=False)
+    top: int = field(init=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "sizes", tuple(int(x) for x in self.sizes))
@@ -60,28 +63,16 @@ class Configuration:
                    if all((i, j) in self.less for j in range(m) if j != i)]
         tops = [j for j in range(m)
                 if all((i, j) in self.less for i in range(m) if i != j)]
-        if m > 1 and (len(bottoms) != 1 or len(tops) != 1):
+        if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("order must have a unique minimum and maximum")
+        object.__setattr__(self, "bottom", bottoms[0])
+        object.__setattr__(self, "top", tops[0])
         if self.ranks[self.bottom] != 0:
             raise ValueError("the minimum node must have rank 0")
 
     @property
     def m(self) -> int:
         return len(self.sizes)
-
-    @property
-    def bottom(self) -> int:
-        for i in range(self.m):
-            if all((i, j) in self.less for j in range(self.m) if j != i):
-                return i
-        raise AssertionError("no minimum")
-
-    @property
-    def top(self) -> int:
-        for j in range(self.m):
-            if all((i, j) in self.less for i in range(self.m) if i != j):
-                return j
-        raise AssertionError("no maximum")
 
     def rank(self) -> int:
         return self.ranks[self.top]

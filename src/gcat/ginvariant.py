@@ -122,10 +122,6 @@ class GInvariant:
     def items(self):
         return sorted(self.coeffs.items())
 
-    def __eq__(self, other):
-        return (isinstance(other, GInvariant) and self.n == other.n
-                and self.r == other.r and self.coeffs == other.coeffs)
-
     def __hash__(self):
         return hash((self.n, self.r, frozenset(self.coeffs.items())))
 
@@ -170,10 +166,6 @@ class CatenaryData:
             raise ExactnessError(f"inconsistent loop counts across keys: {sorted(firsts)}")
         return firsts.pop()
 
-    def __eq__(self, other):
-        return (isinstance(other, CatenaryData) and self.n == other.n
-                and self.r == other.r and self.counts == other.counts)
-
     def __hash__(self):
         return hash((self.n, self.r, frozenset(self.counts.items())))
 
@@ -201,9 +193,6 @@ class TuttePolynomial:
 
     def evaluate(self, x, y):
         return sum(c * x ** i * y ** j for (i, j), c in self.terms.items())
-
-    def __eq__(self, other):
-        return isinstance(other, TuttePolynomial) and self.terms == other.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

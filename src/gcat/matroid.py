@@ -1,13 +1,14 @@
 """Explicit matroids on the ground set {0, ..., n-1}.
 
 Subsets of the ground set are plain Python ints used as bitmasks.  A matroid
-answers rank queries through a rank function on bitmasks that its
-presentation supplies: union-find for a graph, min(|X|, r) for a uniform
-matroid, copoint containment for a paving matroid, the min-formula for
-cyclic flats.  Closure, covers and flats are built from rank alone.  The
-collection of bases is still built for every matroid; a matroid given by its
-bases, and every derived matroid (minors, duals, truncations, ...), ranks a
-set by its largest intersection with a basis.  Everything here is
+is its rank function on bitmasks.  A presentation supplies one: union-find
+for a graph, min(|X|, r) for a uniform matroid, copoint containment for a
+paving matroid, the min-formula for cyclic flats, and, for a matroid given
+by its bases, the largest intersection with a basis.  A derived matroid
+(minor, dual, truncation, extension, relaxation, sum, product) ranks through
+a transform of its parents' rank, so it keeps them alive.  Closure, covers
+and flats are built from rank alone; the bases are built only when read
+(exchange validation, equality, the top-symbol check).  Everything here is
 desk-scale and exact; these matroids double as ground-truth oracles for the
 invariant-level machinery.
 """
@@ -49,42 +50,45 @@ def _basis_scan(bases):
 
 
 class Matroid:
-    """A matroid with ground set {0, ..., n-1}, with its bases.
+    """A matroid with ground set {0, ..., n-1}, given by its rank function.
 
-    `bases` is a frozenset of bitmasks, all of the same popcount `r`.
-    `rank_of` is the presentation's rank function on bitmasks and must agree
-    with the bases; without it a set is ranked by a scan of the bases.
-    Instances are immutable; every operation returns a new matroid.
+    `rank_of` maps a bitmask to its rank; `r` is the rank of the ground set.
+    `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
+    of rank r.  A derived matroid ranks through its parent's `rank`, so it
+    keeps its parent (and the parent's caches) alive.  Instances are
+    immutable; every operation returns a new matroid.
     """
 
-    __slots__ = ("n", "bases", "r", "full", "_rank_of", "_rank_cache",
+    __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_rank_cache",
                  "_flats_by_rank", "_circuits", "_closure_cache")
 
-    def __init__(self, n: int, bases, *, validate: bool | None = None,
-                 rank_of=None):
-        bases = frozenset(int(b) for b in bases)
-        if not bases:
-            raise PresentationError("a matroid needs at least one basis")
-        sizes = {b.bit_count() for b in bases}
-        if len(sizes) != 1:
-            raise PresentationError(f"bases of unequal sizes: {sorted(sizes)}")
-        full = (1 << n) - 1
-        if any(b & ~full for b in bases):
-            raise PresentationError("basis uses elements outside the ground set")
+    def __init__(self, n: int, rank_of, *, validate: bool | None = None):
         self.n = n
-        self.bases = bases
-        self.r = sizes.pop()
-        self.full = full
-        # a closure over the bases, not a bound method: no reference cycle
-        self._rank_of = rank_of or _basis_scan(bases)
+        self.full = (1 << n) - 1
+        self._rank_of = rank_of
+        self.r = rank_of(self.full)
+        self._bases = None
         self._rank_cache = {0: 0}
         self._closure_cache = {}
         self._flats_by_rank = None
         self._circuits = None
-        if validate is None:
-            validate = n <= VALIDATE_LIMIT
-        if validate:
+        self._validate(validate)
+
+    @property
+    def bases(self) -> frozenset[int]:
+        if self._bases is None:
+            rank_of, r = self._rank_of, self.r
+            self._bases = frozenset(
+                b for b in map(mask_of, itertools.combinations(range(self.n), r))
+                if rank_of(b) == r)
+        return self._bases
+
+    def _validate(self, validate: bool | None) -> "Matroid":
+        """Check basis exchange when asked to, and by default up to
+        VALIDATE_LIMIT elements."""
+        if validate or (validate is None and self.n <= VALIDATE_LIMIT):
             self._check_exchange()
+        return self
 
     def _check_exchange(self):
         """For all bases b1, b2 and x in b1 - b2, some y in b2 - b1 has
@@ -137,18 +141,13 @@ class Matroid:
         return self.rank(1 << e) == 0
 
     def is_coloop(self, e: int) -> bool:
-        return all(b & (1 << e) for b in self.bases)
+        return self.rank(self.full & ~(1 << e)) < self.r
 
     def loops(self) -> int:
         return self.closure(0)
 
     def coloops(self) -> int:
-        m = self.full
-        for b in self.bases:
-            m &= b
-            if not m:
-                break
-        return m
+        return mask_of(e for e in range(self.n) if self.is_coloop(e))
 
     # -- flats -----------------------------------------------------------
 
@@ -237,19 +236,23 @@ class Matroid:
     def minor(self, contract: int = 0, delete: int = 0) -> "Matroid":
         """The minor M / contract \\ delete, relabeled onto {0, ..., m-1}.
 
-        Remaining elements keep their relative order.
+        Remaining elements keep their relative order; a set of them ranks
+        as r(X | contract) - r(contract) once mapped back.
         """
         if contract & delete:
             raise ValueError("contract and delete sets overlap")
-        keep = elements_of(self.full & ~(contract | delete))
-        rc = self.rank(contract)
-        new_r = self.rank(self.full & ~delete) - rc
-        new_bases = set()
-        for combo in itertools.combinations(keep, new_r):
-            x = mask_of(combo)
-            if self.rank(x | contract) - rc == new_r:
-                new_bases.add(mask_of(keep.index(e) for e in combo))
-        return Matroid(len(keep), new_bases, validate=False)
+        keep = [1 << e for e in elements_of(self.full & ~(contract | delete))]
+        rank, rc = self.rank, self.rank(contract)
+
+        def rank_of(x):
+            y = contract
+            while x:
+                low = x & -x
+                x ^= low
+                y |= keep[low.bit_length() - 1]
+            return rank(y) - rc
+
+        return Matroid(len(keep), rank_of, validate=False)
 
     def restrict(self, x: int) -> "Matroid":
         return self.minor(delete=self.full & ~x)
@@ -261,7 +264,9 @@ class Matroid:
         return self.minor(delete=x)
 
     def dual(self) -> "Matroid":
-        return Matroid(self.n, (self.full & ~b for b in self.bases),
+        """r*(X) = |X| - r + r(E - X)."""
+        rank, r, full = self.rank, self.r, self.full
+        return Matroid(self.n, lambda x: x.bit_count() - r + rank(full & ~x),
                        validate=False)
 
     # -- unary constructions ----------------------------------------------
@@ -270,8 +275,8 @@ class Matroid:
         """Bases become the independent sets of size r-1."""
         if self.r < 1:
             raise ValueError("cannot truncate a rank-0 matroid")
-        new = {b & ~(1 << e) for b in self.bases for e in elements_of(b)}
-        return Matroid(self.n, new, validate=False)
+        rank, top = self.rank, self.r - 1
+        return Matroid(self.n, lambda x: min(rank(x), top), validate=False)
 
     def lift(self) -> "Matroid":
         """The free lift: dual of the truncation of the dual."""
@@ -280,23 +285,23 @@ class Matroid:
         return self.dual().truncate().dual()
 
     def free_extension(self) -> "Matroid":
-        """Add a new last element freely (in general position)."""
-        x = 1 << self.n
-        new = set(self.bases)
-        for b in self.bases:
-            for e in elements_of(b):
-                new.add((b & ~(1 << e)) | x)
-        return Matroid(self.n + 1, new, validate=False)
+        """Add a new last element freely (in general position): it raises
+        the rank of every set that does not span."""
+        rank, r, full, new = self.rank, self.r, self.full, 1 << self.n
+        return Matroid(self.n + 1, lambda x: (
+            min(rank(x & full) + 1, r) if x & new else rank(x)), validate=False)
 
     def free_coextension(self) -> "Matroid":
         return self.dual().free_extension().dual()
 
     def add_coloop(self) -> "Matroid":
-        x = 1 << self.n
-        return Matroid(self.n + 1, (b | x for b in self.bases), validate=False)
+        rank, n, full = self.rank, self.n, self.full
+        return Matroid(n + 1, lambda x: rank(x & full) + (x >> n),
+                       validate=False)
 
     def add_loop(self) -> "Matroid":
-        return Matroid(self.n + 1, self.bases, validate=False)
+        rank, full = self.rank, self.full
+        return Matroid(self.n + 1, lambda x: rank(x & full), validate=False)
 
     def relax(self, x: int) -> "Matroid":
         """Relax a circuit-hyperplane: x becomes a basis."""
@@ -306,28 +311,30 @@ class Matroid:
         if self.rank(x) != k - 1 or not all(
                 self.rank(x & ~(1 << e)) == k - 1 for e in elements_of(x)):
             raise ValueError("relaxation target is not a circuit")
-        return Matroid(self.n, self.bases | {x}, validate=False)
+        rank, r = self.rank, self.r
+        return Matroid(self.n, lambda y: r if y == x else rank(y),
+                       validate=False)
 
     # -- binary constructions ----------------------------------------------
 
     def direct_sum(self, other: "Matroid") -> "Matroid":
         """Disjoint union; other's elements are shifted up by self.n."""
-        bases = {b1 | (b2 << self.n) for b1 in self.bases for b2 in other.bases}
-        return Matroid(self.n + other.n, bases, validate=False)
+        rank1, rank2, n1, full1 = self.rank, other.rank, self.n, self.full
+        return Matroid(self.n + other.n,
+                       lambda x: rank1(x & full1) + rank2(x >> n1),
+                       validate=False)
 
     def free_product(self, other: "Matroid") -> "Matroid":
-        """Bases meet self's part independently and span other's part."""
-        n = self.n + other.n
-        r = self.r + other.r
-        full1 = self.full
-        bases = set()
-        for combo in itertools.combinations(range(n), r):
-            b = mask_of(combo)
-            b1 = b & full1
-            b2 = b >> self.n
-            if self.rank(b1) == b1.bit_count() and other.rank(b2) == other.r:
-                bases.add(b)
-        return Matroid(n, bases, validate=False)
+        """Bases meet self's part independently and span other's part:
+        r(X) = min(r1(X1) + |X2|, r1 + r2(X2))."""
+        rank1, rank2, n1, full1 = self.rank, other.rank, self.n, self.full
+        r1 = self.r
+
+        def rank_of(x):
+            x2 = x >> n1
+            return min(rank1(x & full1) + x2.bit_count(), r1 + rank2(x2))
+
+        return Matroid(self.n + other.n, rank_of, validate=False)
 
     # -- misc ---------------------------------------------------------------
 
@@ -339,25 +346,15 @@ class Matroid:
         return hash((self.n, self.bases))
 
     def __repr__(self):
-        return f"Matroid(n={self.n}, r={self.r}, bases={len(self.bases)})"
+        return f"Matroid(n={self.n}, r={self.r})"
 
 
 # -- presentations ---------------------------------------------------------
 
-def _from_rank(n: int, rank_of, **kw) -> Matroid:
-    """The matroid of a rank function: bases are the full-rank r-subsets."""
-    r = rank_of((1 << n) - 1)
-    bases = [b for b in map(mask_of, itertools.combinations(range(n), r))
-             if rank_of(b) == r]
-    if not bases:
-        raise PresentationError("presentation admits no basis")
-    return Matroid(n, bases, rank_of=rank_of, **kw)
-
-
 def uniform(r: int, n: int, **kw) -> Matroid:
     if not 0 <= r <= n:
         raise PresentationError(f"U({r},{n}) is not a matroid")
-    return _from_rank(n, lambda x: min(x.bit_count(), r), validate=False)
+    return Matroid(n, lambda x: min(x.bit_count(), r), validate=False)
 
 
 def from_graph(edges, **kw) -> Matroid:
@@ -386,7 +383,7 @@ def from_graph(edges, **kw) -> Matroid:
                 merges += 1
         return merges
 
-    return _from_rank(len(edges), rank_of, **kw)
+    return Matroid(len(edges), rank_of, **kw)
 
 
 def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
@@ -421,7 +418,7 @@ def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
             return size
         return r - 1 if any(x & ~c == 0 for c in masks) else r
 
-    return _from_rank(n, rank_of, **kw)
+    return Matroid(n, rank_of, **kw)
 
 
 def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
@@ -457,7 +454,7 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
             raise PresentationError(
                 f"ranks of {elements_of(f1)} and {elements_of(f2)} "
                 "are not submodular")
-    return _from_rank(n, rank_of, **kw)
+    return Matroid(n, rank_of, **kw)
 
 
 def _check_group_table(table) -> list[list[int]]:
@@ -509,9 +506,20 @@ def dowling3(table, **kw) -> Matroid:
     return from_paving_copoints(3 + 3 * m, 3, lines, **kw)
 
 
-def from_bases(n: int, bases, **kw) -> Matroid:
-    return Matroid(n, (b if isinstance(b, int) else mask_of(b) for b in bases),
-                   **kw)
+def from_bases(n: int, bases, *, validate: bool | None = None) -> Matroid:
+    """The matroid of a basis family, kept as given; a set ranks as its
+    largest intersection with a basis."""
+    bases = frozenset(b if isinstance(b, int) else mask_of(b) for b in bases)
+    if not bases:
+        raise PresentationError("a matroid needs at least one basis")
+    sizes = {b.bit_count() for b in bases}
+    if len(sizes) != 1:
+        raise PresentationError(f"bases of unequal sizes: {sorted(sizes)}")
+    if any(b & ~((1 << n) - 1) for b in bases):
+        raise PresentationError("basis uses elements outside the ground set")
+    m = Matroid(n, _basis_scan(bases), validate=False)
+    m._bases = bases
+    return m._validate(validate)
 
 
 # presentation kind -> (needs ground_set_size, builder(record, n, validate))
@@ -544,3 +552,5 @@ def build_matroid(presentation: dict, n: int | None = None,
         return build(presentation, n, validate)
     except KeyError as exc:
         raise PresentationError(f"presentation is missing field {exc}") from exc
+    except TypeError as exc:
+        raise PresentationError(f"malformed presentation: {exc}") from exc

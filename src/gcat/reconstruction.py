@@ -57,26 +57,36 @@ def circle_product(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
     return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)
 
 
+def _deck_sum(entries, solve) -> CatenaryData:
+    """Sum of mult * solve(entry) over (entry, mult) pairs of one shape."""
+    total: dict[tuple, int] = {}
+    shape = None
+    for entry, mult in entries:
+        c = solve(entry)
+        if shape is None:
+            shape = (c.n, c.r)
+        elif shape != (c.n, c.r):
+            raise ValueError("deck entries have inconsistent shapes")
+        for comp, v in c.counts.items():
+            total[comp] = total.get(comp, 0) + mult * v
+    if shape is None:
+        raise ValueError("empty deck")
+    return CatenaryData(shape[0], shape[1], total)
+
+
 def slice_assemble(deck: Deck, k: int) -> GInvariant:
     """Reassemble the invariant from the rank-k deck of (M|X, M/X) pairs."""
     if deck.role != "rank-k":
         raise ValueError("slicing needs a rank-k deck of pairs")
-    total: dict[tuple, int] = {}
-    shape = None
-    for (g_rest, g_contr), mult in deck.entries:
+
+    def solve(pair):
+        g_rest, g_contr = pair
         if g_rest.r != k:
             raise ValueError(
                 f"deck entry has restriction rank {g_rest.r}, expected {k}")
-        prod = circle_product(catenary_from_g(g_rest), catenary_from_g(g_contr))
-        if shape is None:
-            shape = (prod.n, prod.r)
-        elif shape != (prod.n, prod.r):
-            raise ValueError("deck entries have inconsistent shapes")
-        for comp, v in prod.counts.items():
-            total[comp] = total.get(comp, 0) + mult * v
-    if shape is None:
-        raise ValueError("empty deck")
-    return g_from_catenary(CatenaryData(shape[0], shape[1], total))
+        return circle_product(catenary_from_g(g_rest), catenary_from_g(g_contr))
+
+    return g_from_catenary(_deck_sum(deck.entries, solve))
 
 
 def _copoint_catenaries(deck: Deck) -> list[tuple[CatenaryData, int, int]]:
@@ -191,24 +201,12 @@ def girth_deck_reconstruct(deck: Deck, g: int, n: int) -> GInvariant:
     contractions by its rank-g flats (all of which are g-element independent
     flats, restricting to free matroids).
     """
-    total: dict[tuple, int] = {}
-    shape = None
-    for entry, mult in deck.entries:
-        c = catenary_from_g(entry)
-        if shape is None:
-            shape = (c.n, c.r)
-        elif shape != (c.n, c.r):
-            raise ValueError("deck entries have inconsistent shapes")
-        for comp, v in c.counts.items():
-            total[comp] = total.get(comp, 0) + mult * v
-    if shape is None:
-        raise ValueError("empty deck")
-    if shape[0] + g != n:
+    summed = _deck_sum(deck.entries, catenary_from_g)
+    if summed.n + g != n:
         raise ValueError(
-            f"entries of size {shape[0]} with g={g} do not fit n={n}")
+            f"entries of size {summed.n} with g={g} do not fit n={n}")
     prefix = CatenaryData(g, g, {(0,) + (1,) * g: math.factorial(g)})
-    assembled = circle_product(prefix, CatenaryData(shape[0], shape[1], total))
-    return g_from_catenary(assembled)
+    return g_from_catenary(circle_product(prefix, summed))
 
 
 # -- deck extraction from explicit matroids -------------------------------------

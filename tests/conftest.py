@@ -8,8 +8,9 @@ import pathlib
 
 import pytest
 
-from gcat import (Matroid, catenary, from_graph, from_paving_copoints,
-                  g_brute_force, g_from_catenary, mask_of, uniform)
+from gcat import (Matroid, catenary, from_bases, from_graph,
+                  from_paving_copoints, g_brute_force, g_from_catenary,
+                  mask_of, uniform)
 from gcat.serialization import matroid_from_json
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -195,7 +196,7 @@ def linear_matroid(vectors, q: int) -> Matroid:
     for combo in itertools.combinations(range(n), r):
         if gf_rank([vectors[i] for i in combo], q) == r:
             bases.add(mask_of(combo))
-    return Matroid(n, bases)
+    return from_bases(n, bases)
 
 
 def pg_points(dim: int, q: int) -> list[tuple]:

@@ -235,6 +235,27 @@ class TestErrors:
             "kind": "bases", "bases": [[0], [0, 1]]}}))
         assert main(["ginv", str(bad)]) == 1
 
+    def test_presentation_fields_of_the_wrong_type(self, capsys, tmp_path):
+        docs = [
+            {"presentation": {"kind": "graph", "edges": [1, 2]}},
+            {"ground_set_size": "4",
+             "presentation": {"kind": "uniform", "rank": 2}},
+            {"ground_set_size": 4, "presentation": {
+                "kind": "paving_copoints", "rank": 2,
+                "copoints": [["a", 1, 2]]}},
+            {"ground_set_size": 3, "presentation": {
+                "kind": "cyclic_flats", "flats": [3]}},
+            {"ground_set_size": 3, "presentation": {
+                "kind": "bases", "bases": [[0, "x"]]}},
+            {"ground_set_size": 3, "presentation": {
+                "kind": "bases", "bases": 5}},
+        ]
+        bad = tmp_path / "bad.json"
+        for doc in docs:
+            bad.write_text(json.dumps(doc))
+            assert main(["ginv", str(bad)]) == 1, doc
+            assert capsys.readouterr().err.startswith("error:"), doc
+
     def test_non_matroid_invariant_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad-g.json"
         bad.write_text(json.dumps(

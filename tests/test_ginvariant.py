@@ -127,6 +127,13 @@ class TestCatenary:
         k7 = [(a, b) for a in range(7) for b in range(a + 1, 7)]
         assert basis_count(catenary(from_graph(k7))) == 7 ** 5  # Cayley
 
+    def test_k8_spanning_trees(self):
+        # n = 28, r = 7: C(28, 7) = 1,184,040 edge subsets; none is built
+        k8 = [(a, b) for a in range(8) for b in range(a + 1, 8)]
+        m = from_graph(k8, validate=False)
+        assert basis_count(catenary(m)) == 8 ** 6  # Cayley
+        assert m._bases is None
+
     def test_u516_is_a_design(self):
         assert catenary(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
 

@@ -6,9 +6,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcat import (Matroid, PresentationError, build_matroid, dowling3,
-                  elements_of, from_cyclic_flats, from_graph,
+from gcat import (PresentationError, build_matroid, dowling3, elements_of,
+                  from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
+from gcat.matroid import _basis_scan
 from conftest import K4_EDGES, TRIANGLE, load_data
 
 
@@ -78,15 +79,15 @@ class TestBuild:
 
     def test_empty_bases_rejected(self):
         with pytest.raises(PresentationError):
-            Matroid(3, [])
+            from_bases(3, [])
 
     def test_unequal_bases_rejected(self):
         with pytest.raises(PresentationError):
-            Matroid(3, [0b011, 0b100])
+            from_bases(3, [0b011, 0b100])
 
     def test_exchange_failure_rejected(self):
         with pytest.raises(PresentationError):
-            Matroid(4, [0b0011, 0b1100])
+            from_bases(4, [0b0011, 0b1100])
 
     def test_cyclic_flats_presentation(self):
         m = from_cyclic_flats(4, [([], 0), ([0, 1, 2, 3], 2)])
@@ -275,11 +276,11 @@ class TestAxioms:
         # re-validating from scratch exercises the exchange check even for
         # matroids that were produced by internally trusted constructions
         for name, m in corpus:
-            assert Matroid(m.n, m.bases).bases == m.bases, name
+            assert from_bases(m.n, m.bases).bases == m.bases, name
         prism = from_graph(
             [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5),
              (0, 3), (1, 4), (2, 5)])
-        assert Matroid(9, prism.bases).bases == prism.bases
+        assert from_bases(9, prism.bases).bases == prism.bases
 
     @staticmethod
     def _tables(m):
@@ -357,22 +358,22 @@ def _subsets(n, min_size=0):
 
 
 @st.composite
-def _graphs(draw):
+def _graphs(draw, max_n):
     nverts = draw(st.integers(1, 5))
     vert = st.integers(0, nverts - 1)
     # small vertex counts make loops and parallel edges common
-    return from_graph(draw(st.lists(st.tuples(vert, vert), max_size=10)))
+    return from_graph(draw(st.lists(st.tuples(vert, vert), max_size=max_n)))
 
 
 @st.composite
-def _uniforms(draw):
-    n = draw(st.integers(0, 10))
+def _uniforms(draw, max_n):
+    n = draw(st.integers(0, max_n))
     return uniform(draw(st.integers(0, n)), n)
 
 
 @st.composite
-def _pavings(draw):
-    n = draw(st.integers(3, 10))
+def _pavings(draw, max_n):
+    n = draw(st.integers(3, max_n))
     r = draw(st.integers(2, min(4, n - 1)))
     kept = []
     for c in draw(st.lists(_subsets(n, r), max_size=8)):
@@ -383,10 +384,10 @@ def _pavings(draw):
 
 
 @st.composite
-def _nested(draw):
+def _nested(draw, max_n):
     # sizes, ranks and nullities strictly increase along the chain; elements
     # above its top are coloops
-    n = draw(st.integers(1, 10))
+    n = draw(st.integers(1, max_n))
     chain = [(draw(st.integers(0, n)), 0)]
     while chain[-1][0] <= n - 2 and draw(st.booleans()):
         s0, k = chain[-1]
@@ -396,7 +397,14 @@ def _nested(draw):
     return from_cyclic_flats(n, [(labels[:s], k) for s, k in chain])
 
 
-_DOWLING = st.sampled_from([[[0]], [[0, 1], [1, 0]]]).map(dowling3)
+def _presentations(max_n):
+    """Every presentation kind, on at most max_n elements."""
+    # Dowling Z1 has 6 elements, Z2 has 9
+    tables = [t for t in ([[0]], [[0, 1], [1, 0]]) if 3 + 3 * len(t) <= max_n]
+    kinds = [_graphs(max_n), _uniforms(max_n), _pavings(max_n), _nested(max_n)]
+    if tables:
+        kinds.append(st.sampled_from(tables).map(dowling3))
+    return st.one_of(kinds)
 
 
 class TestRankOracle:
@@ -412,7 +420,7 @@ class TestRankOracle:
                                    for e in elements_of(m.full & ~f)}, f
 
     @settings(max_examples=60, deadline=None)
-    @given(st.one_of(_graphs(), _uniforms(), _pavings(), _nested(), _DOWLING))
+    @given(_presentations(10))
     def test_rank_is_the_basis_scan(self, m):
         self._check(m)
 
@@ -431,3 +439,82 @@ class TestRankOracle:
         except PresentationError:
             return
         self._check(m)
+
+
+def _independent(bases, x):
+    return any(x & ~b == 0 for b in bases)
+
+
+def _spanning(bases, x):
+    return any(b & ~x == 0 for b in bases)
+
+
+class TestRankTransforms:
+    """Each derived matroid's rank transform against the scan of the basis
+    family its textbook definition gives, built from the parents' bases."""
+
+    @staticmethod
+    def _agrees(m, family):
+        family = frozenset(family)
+        scan = _basis_scan(family)
+        for x in range(1 << m.n):
+            assert m.rank(x) == scan(x), x
+        assert m.bases == family
+
+    @settings(max_examples=60, deadline=None)
+    @given(_presentations(8))
+    def test_unary(self, m):
+        n, r, full, bases = m.n, m.r, m.full, m.bases
+        new = 1 << n
+        self._agrees(m.dual(), {full & ~b for b in bases})
+        self._agrees(m.add_coloop(), {b | new for b in bases})
+        self._agrees(m.add_loop(), bases)
+        self._agrees(m.free_extension(), bases | {
+            b & ~(1 << e) | new for b in bases for e in elements_of(b)})
+        self._agrees(m.free_coextension(), {b | new for b in bases} | {
+            b | 1 << e for b in bases for e in elements_of(full & ~b)})
+        if r >= 1:
+            self._agrees(m.truncate(), {
+                b & ~(1 << e) for b in bases for e in elements_of(b)})
+        if r < n:
+            self._agrees(m.lift(), {
+                b | 1 << e for b in bases for e in elements_of(full & ~b)})
+        # circuit-hyperplanes: dependent r-sets whose (r-1)-subsets are
+        # independent and whose one-element extensions span
+        for x in map(mask_of, itertools.combinations(range(n), r)):
+            if x in bases or not all(
+                    _independent(bases, x & ~(1 << e)) for e in elements_of(x)):
+                continue
+            if all(_spanning(bases, x | 1 << e) for e in elements_of(full & ~x)):
+                self._agrees(m.relax(x), bases | {x})
+
+    @settings(max_examples=60, deadline=None)
+    @given(_presentations(8), st.data())
+    def test_minor(self, m, data):
+        roles = data.draw(st.lists(st.sampled_from("kcd"),
+                                   min_size=m.n, max_size=m.n))
+        contract = mask_of(e for e, t in enumerate(roles) if t == "c")
+        delete = mask_of(e for e, t in enumerate(roles) if t == "d")
+        keep = [e for e, t in enumerate(roles) if t == "k"]
+        # M / C: bases meeting C in a basis of C, less C; then \ D: the
+        # largest traces outside D
+        most = max((b & contract).bit_count() for b in m.bases)
+        contracted = {b & ~contract for b in m.bases
+                      if (b & contract).bit_count() == most}
+        traces = {b & ~delete for b in contracted}
+        top = max(b.bit_count() for b in traces)
+        family = {b for b in traces if b.bit_count() == top}
+        relabel = {e: i for i, e in enumerate(keep)}
+        self._agrees(m.minor(contract, delete), {
+            mask_of(relabel[e] for e in elements_of(b)) for b in family})
+
+    @settings(max_examples=60, deadline=None)
+    @given(_presentations(6), _presentations(4))
+    def test_binary(self, m1, m2):
+        n1, b1s, b2s = m1.n, m1.bases, m2.bases
+        self._agrees(m1.direct_sum(m2), {b1 | b2 << n1 for b1 in b1s
+                                          for b2 in b2s})
+        self._agrees(m1.free_product(m2), {
+            b for b in map(mask_of, itertools.combinations(
+                range(n1 + m2.n), m1.r + m2.r))
+            if _independent(b1s, b & m1.full) and _spanning(b2s, b >> n1)})
