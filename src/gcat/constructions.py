@@ -160,6 +160,14 @@ def g_free_coextension(g: GInvariant) -> GInvariant:
 
 # -- free product -----------------------------------------------------------------
 
+def _prefix_ranks(key: str) -> list[int]:
+    """Number of ones in each prefix of a rank sequence, lengths 0..n."""
+    w = [0]
+    for ch in key:
+        w.append(w[-1] + (ch == "1"))
+    return w
+
+
 def free_product_rank_sequence(key1: str, key2: str, positions) -> str:
     """Rank sequence of a shuffle of two rank sequences in the free product.
 
@@ -169,12 +177,8 @@ def free_product_rank_sequence(key1: str, key2: str, positions) -> str:
     """
     n1, n2 = len(key1), len(key2)
     pos = frozenset(positions)
-    w1 = [0]
-    for ch in key1:
-        w1.append(w1[-1] + (ch == "1"))
-    w2 = [0]
-    for ch in key2:
-        w2.append(w2[-1] + (ch == "1"))
+    w1 = _prefix_ranks(key1)
+    w2 = _prefix_ranks(key2)
     r1_total = w1[-1]
     out = []
     prev = x1 = 0
@@ -188,22 +192,56 @@ def free_product_rank_sequence(key1: str, key2: str, positions) -> str:
     return "".join(out)
 
 
-def g_free_product(g1: GInvariant, g2: GInvariant) -> GInvariant:
-    """G-invariant of the free product, replayed over all position sets.
+def _merged_sequences(w1: list[int], w2: list[int]) -> dict[int, int]:
+    """Rank sequences of all shuffles of two prefix-rank lists, with counts.
 
-    Iterates over symbol pairs times binomial(n1+n2, n1) position sets;
-    intended for n1 + n2 up to about 14.
+    A shuffle is a lattice path from (0, 0) to (n1, n2); the rank at node
+    (x1, x2) is min(r1 + w2[x2], w1[x1] + x2), so a step outputs a 1 exactly
+    when it raises that rank.  The walk goes diagonal by diagonal, holding
+    for each x1 a map from output prefix (an int, first step highest) to the
+    number of paths that reach (x1, d - x1) with that prefix; paths that
+    meet at a node with the same prefix share their future and are merged.
     """
-    n1, n2 = g1.n, g2.n
+    n1, n2 = len(w1) - 1, len(w2) - 1
+    r1 = w1[-1]
+    rank = [[min(r1 + b, a + x2) for x2, b in enumerate(w2)] for a in w1]
+    layer = {0: {0: 1}}
+    for d in range(n1 + n2):
+        nxt: dict[int, dict[int, int]] = {}
+        for x1, states in layer.items():
+            x2 = d - x1
+            here = rank[x1][x2]
+            for y1, y2 in ((x1 + 1, x2), (x1, x2 + 1)):
+                if y1 > n1 or y2 > n2:
+                    continue
+                bit = rank[y1][y2] > here
+                acc = nxt.setdefault(y1, {})
+                for p, cnt in states.items():
+                    q = p << 1 | bit
+                    acc[q] = acc.get(q, 0) + cnt
+        layer = nxt
+    return layer[n1]
+
+
+def g_free_product(g1: GInvariant, g2: GInvariant) -> GInvariant:
+    """G-invariant of the free product, by a lattice-path DP per symbol pair.
+
+    Each pair of symbols runs `_merged_sequences`: its state is the grid
+    node (x1, x2) with the merged output prefix, so the work grows with the
+    distinct prefixes at each node rather than with the binomial(n1+n2, n1)
+    shuffles that `free_product_rank_sequence` defines one at a time.
+    """
+    n = g1.n + g2.n
+    right = [(_prefix_ranks(k2), c2) for k2, c2 in g2.coeffs.items()]
     coeffs: dict[str, int] = {}
-    position_sets = list(itertools.combinations(range(n1 + n2), n1))
     for k1, c1 in g1.coeffs.items():
-        for k2, c2 in g2.coeffs.items():
+        w1 = _prefix_ranks(k1)
+        for w2, c2 in right:
             c = c1 * c2
-            for pos in position_sets:
-                key = free_product_rank_sequence(k1, k2, pos)
-                coeffs[key] = coeffs.get(key, 0) + c
-    return GInvariant(n1 + n2, g1.r + g2.r, coeffs)
+            for p, cnt in _merged_sequences(w1, w2).items():
+                key = format(p, f"0{n}b") if n else ""
+                coeffs[key] = coeffs.get(key, 0) + c * cnt
+    return GInvariant(n, g1.r + g2.r, coeffs)
 
 
 # -- q-cone ------------------------------------------------------------------------

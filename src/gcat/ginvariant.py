@@ -8,11 +8,12 @@ catenary data counts flags (maximal chains of flats) by composition, and is
 the coordinate vector of the G-invariant in the triangular gamma basis.
 
 All coefficients are exact Python ints; the Tutte specialization runs on
-exact rationals and must clear every denominator.
+integers scaled by n!, and n! must divide every coefficient.
 """
 
 from __future__ import annotations
 
+import heapq
 import itertools
 import math
 import os
@@ -306,23 +307,38 @@ def g_invariant(m: Matroid) -> GInvariant:
     return g_from_catenary(catenary(m))
 
 
+def _solve_order(key: str) -> tuple:
+    """Heap key of a symbol: lowest in dominance first, then ascending ones.
+
+    The dominance height of a composition is the sum of its prefix sums,
+    i.e. n plus the positions of the ones of its symbol; larger is lower in
+    dominance.  Ties go in `compositions()` order, ascending one-positions.
+    """
+    ones = tuple(i for i, ch in enumerate(key) if ch == "1")
+    return (-sum(ones), ones, key)
+
+
 def catenary_from_g(g: GInvariant) -> CatenaryData:
     """Invert the gamma-basis change by back-substitution along dominance.
 
+    The solve visits only symbols in the residual support: a heap holds the
+    keys of g and every symbol a solved gamma(a) touches, lowest in
+    dominance first.  Every symbol of gamma(a) other than a itself
+    dominates a strictly, so it is popped after a, and the first failing
+    coordinate is the one a scan of all C(n, r) compositions meets first.
     Rejects inputs whose coordinates are not nonnegative integers; such a
     vector is not the G-invariant of any matroid.
     """
     residual = dict(g.coeffs)
+    heap = [_solve_order(key) for key in residual]
+    heapq.heapify(heap)
     counts: dict[tuple, int] = {}
-    # larger prefix-sum total = lower in dominance; those are solved first
-    order = sorted(compositions(g.n, g.r),
-                   key=lambda comp: sum(itertools.accumulate(comp)),
-                   reverse=True)
-    for a in order:
-        key = comp_to_seq(a)
-        num = residual.get(key, 0)
+    while heap:
+        key = heapq.heappop(heap)[2]
+        num = residual[key]
         if num == 0:
             continue
+        a = seq_to_comp(key)
         coeffs = gamma_coeffs(a)
         den = coeffs[key]
         if num % den:
@@ -333,10 +349,11 @@ def catenary_from_g(g: GInvariant) -> CatenaryData:
             raise ExactnessError(f"gamma coordinate at {a} is negative: {nu}")
         counts[a] = nu
         for sym, coeff in coeffs.items():
-            residual[sym] = residual.get(sym, 0) - nu * coeff
-    if any(v for v in residual.values()):
-        bad = sorted(k for k, v in residual.items() if v)
-        raise ExactnessError(f"vector is not in the gamma span; residue at {bad}")
+            if sym in residual:
+                residual[sym] -= nu * coeff
+            else:
+                residual[sym] = -nu * coeff
+                heapq.heappush(heap, _solve_order(sym))
     return CatenaryData(g.n, g.r, counts)
 
 
@@ -397,20 +414,21 @@ def tutte_from_g(g: GInvariant) -> TuttePolynomial:
 
     Each symbol contributes sum over m of
     (x-1)^(r - wt_m) (y-1)^(m - wt_m) / (m! (n-m)!) with wt_m the number of
-    ones among its first m entries.  Exact rationals throughout; a
-    non-integral final coefficient means g is not a matroid invariant.
+    ones among its first m entries.  The sums run on integers scaled by n!,
+    since 1 / (m! (n-m)!) = binomial(n, m) / n!; a coefficient that n! does
+    not divide means g is not a matroid invariant.
     """
     n, r = g.n, g.r
-    powers: dict[tuple[int, int], Fraction] = {}
+    binom = [math.comb(n, m) for m in range(n + 1)]
+    powers: dict[tuple[int, int], int] = {}
     for key, c in g.coeffs.items():
         wt = 0
         for mlen in range(n + 1):
             if mlen:
                 wt += key[mlen - 1] == "1"
             idx = (r - wt, mlen - wt)
-            powers[idx] = powers.get(idx, 0) + Fraction(
-                c, math.factorial(mlen) * math.factorial(n - mlen))
-    terms: dict[tuple[int, int], Fraction] = {}
+            powers[idx] = powers.get(idx, 0) + c * binom[mlen]
+    terms: dict[tuple[int, int], int] = {}
     for (a, b), w in powers.items():
         for i in range(a + 1):
             ci = math.comb(a, i) * (-1) ** (a - i)
@@ -418,12 +436,13 @@ def tutte_from_g(g: GInvariant) -> TuttePolynomial:
                 cj = math.comb(b, j) * (-1) ** (b - j)
                 key = (i, j)
                 terms[key] = terms.get(key, 0) + w * ci * cj
+    nf = math.factorial(n)
     out = {}
     for key, val in terms.items():
-        if val.denominator != 1:
-            raise ExactnessError(
-                f"Tutte coefficient at {key} is {val}: not an integer")
-        out[key] = int(val)
+        if val % nf:
+            raise ExactnessError(f"Tutte coefficient at {key} is "
+                                 f"{Fraction(val, nf)}: not an integer")
+        out[key] = val // nf
     return TuttePolynomial(out)
 
 

@@ -7,10 +7,11 @@ import json
 import pathlib
 
 import pytest
+from hypothesis import strategies as st
 
-from gcat import (Matroid, catenary, from_bases, from_graph,
-                  from_paving_copoints, g_brute_force, g_from_catenary,
-                  mask_of, uniform)
+from gcat import (Matroid, catenary, dowling3, from_bases, from_cyclic_flats,
+                  from_graph, from_paving_copoints, g_brute_force,
+                  g_from_catenary, mask_of, uniform)
 from gcat.serialization import matroid_from_json
 
 DATA = pathlib.Path(__file__).parent / "data"
@@ -228,3 +229,59 @@ def geometric_qcone(base_vectors, q: int) -> Matroid:
                 inv = pow(lead, q - 2, q) if q > 2 else 1
                 points.add(tuple((x * inv) % q for x in vec))
     return linear_matroid(sorted(points), q)
+
+
+# -- Hypothesis strategies: matroids of every presentation kind ---------------
+
+def subsets(n, min_size=0):
+    return st.sets(st.integers(0, n - 1), min_size=min_size, max_size=n)
+
+
+@st.composite
+def _graphs(draw, max_n):
+    nverts = draw(st.integers(1, 5))
+    vert = st.integers(0, nverts - 1)
+    # small vertex counts make loops and parallel edges common
+    return from_graph(draw(st.lists(st.tuples(vert, vert), max_size=max_n)))
+
+
+@st.composite
+def _uniforms(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    return uniform(draw(st.integers(0, n)), n)
+
+
+@st.composite
+def _pavings(draw, max_n):
+    n = draw(st.integers(3, max_n))
+    r = draw(st.integers(2, min(4, n - 1)))
+    kept = []
+    for c in draw(st.lists(subsets(n, r), max_size=8)):
+        c = mask_of(c)
+        if c != (1 << n) - 1 and all((c & d).bit_count() <= r - 2 for d in kept):
+            kept.append(c)
+    return from_paving_copoints(n, r, kept)
+
+
+@st.composite
+def _nested(draw, max_n):
+    # sizes, ranks and nullities strictly increase along the chain; elements
+    # above its top are coloops
+    n = draw(st.integers(1, max_n))
+    chain = [(draw(st.integers(0, n)), 0)]
+    while chain[-1][0] <= n - 2 and draw(st.booleans()):
+        s0, k = chain[-1]
+        size = draw(st.integers(s0 + 2, n))
+        chain.append((size, draw(st.integers(k + 1, k + size - s0 - 1))))
+    labels = draw(st.permutations(range(n)))
+    return from_cyclic_flats(n, [(labels[:s], k) for s, k in chain])
+
+
+def presentations(max_n):
+    """Every presentation kind, on at most max_n elements."""
+    # Dowling Z1 has 6 elements, Z2 has 9
+    tables = [t for t in ([[0]], [[0, 1], [1, 0]]) if 3 + 3 * len(t) <= max_n]
+    kinds = [_graphs(max_n), _uniforms(max_n), _pavings(max_n), _nested(max_n)]
+    if tables:
+        kinds.append(st.sampled_from(tables).map(dowling3))
+    return st.one_of(kinds)

@@ -1,9 +1,12 @@
 """Invariant-level construction algebra against matroid-level ground truth."""
 
+import itertools
 import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gcat import (CatenaryData, ExactnessError, GInvariant, cat_add_loops,
                   cat_direct_sum, cat_qcone, cat_strip_loops,
@@ -13,7 +16,7 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, cat_add_loops,
                   g_free_extension, g_free_product,
                   g_invariant, g_lift, g_relax, g_shuffle, g_truncate,
                   uniform)
-from conftest import K4_EDGES, geometric_qcone, load_data
+from conftest import K4_EDGES, geometric_qcone, load_data, presentations
 
 
 class TestDual:
@@ -157,7 +160,66 @@ class TestUnaryAgainstMatroids:
             assert gop(cache.g(name, m)) == g_invariant(mop(m)), name
 
 
+@st.composite
+def _sized_invariants(draw, n):
+    """G-invariant of a presentation (at most 5 elements) brought to n
+    elements: minors remove elements, loops and coloops add them."""
+    m = draw(presentations(5))
+    while m.n > n:
+        e = 1 << draw(st.integers(0, m.n - 1))
+        m = m.delete(e) if draw(st.booleans()) else m.contract(e)
+    while m.n < n:
+        m = m.add_loop() if draw(st.booleans()) else m.add_coloop()
+    return g_invariant(m)
+
+
+@st.composite
+def _integer_vectors(draw, n):
+    """Integer vectors on (n, r)-symbols, mostly not matroid invariants."""
+    r = draw(st.integers(0, n))
+    symbols = ["".join("1" if i in ones else "0" for i in range(n))
+               for ones in itertools.combinations(range(n), r)]
+    coeffs = draw(st.dictionaries(st.sampled_from(symbols),
+                                  st.integers(-40, 40), max_size=4))
+    return GInvariant(n, r, coeffs)
+
+
+def _vectors(n):
+    return st.one_of(_sized_invariants(n), _integer_vectors(n))
+
+
 class TestFreeProduct:
+    @staticmethod
+    def _replay(g1, g2):
+        # the defining sum over every shuffle of every pair of symbols
+        n = g1.n + g2.n
+        acc = {}
+        for pos in itertools.combinations(range(n), g1.n):
+            for k1, c1 in g1.coeffs.items():
+                for k2, c2 in g2.coeffs.items():
+                    key = free_product_rank_sequence(k1, k2, pos)
+                    acc[key] = acc.get(key, 0) + c1 * c2
+        return GInvariant(n, g1.r + g2.r, acc)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data())
+    def test_dp_is_the_shuffle_sum(self, data):
+        # the product is linear, so vectors that are not invariants
+        # (negative or non-integral gamma coordinates) must agree too
+        n1 = data.draw(st.integers(0, 6), label="n1")
+        n2 = data.draw(st.integers(0, min(6, 10 - n1)), label="n2")
+        g1 = data.draw(_vectors(n1), label="g1")
+        g2 = data.draw(_vectors(n2), label="g2")
+        assert g_free_product(g1, g2) == self._replay(g1, g2)
+
+    def test_empty_invariant_is_a_unit(self, corpus, cache):
+        empty = GInvariant(0, 0, {"": 1})
+        assert g_free_product(empty, empty) == empty
+        for name, m in corpus:
+            g = cache.g(name, m)
+            assert g_free_product(empty, g) == g, name
+            assert g_free_product(g, empty) == g, name
+
     def test_rank_sequence_table(self):
         assert free_product_rank_sequence("101", "10010", (3, 4, 5)) \
             == "11100010"

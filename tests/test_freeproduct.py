@@ -1,14 +1,16 @@
 """Pinchpoints and free-product detection from the invariant."""
 
+import math
 import random
 
 import pytest
 
 import gcat
-from gcat import (configuration_of, detect_free_product, elements_of,
-                  factor_at_pinchpoint, from_graph, g_invariant, mask_of,
+from gcat import (catenary_from_g, configuration_of, detect_free_product,
+                  elements_of, factor_at_pinchpoint, from_graph,
+                  g_free_product, g_from_catenary, g_invariant, mask_of,
                   pinchpoints, uniform)
-from conftest import K4_EDGES, load_data
+from conftest import K4_EDGES, K5_EDGES, load_data
 
 
 class TestPinchpoints:
@@ -94,6 +96,28 @@ class TestDetect:
             assert (g_invariant(m1), g_invariant(m2)) in pairs, (n1, n2)
             seen += 1
         assert seen >= 15
+
+
+class TestRoundTripAtN16:
+    """Free product, gamma round trip and detection on 16 elements."""
+
+    @pytest.mark.parametrize("parts, pinches", [
+        ((K4_EDGES, K5_EDGES), [(3, 6)]),
+        ((K4_EDGES, (2, 4), K4_EDGES), [(3, 6), (5, 10)]),
+    ], ids=["K4#K5", "K4#U(2,4)#K4"])
+    def test_detect_then_rebuild(self, parts, pinches):
+        gs = [g_invariant(uniform(*p) if len(p) == 2 else from_graph(p))
+              for p in parts]
+        g = gs[0]
+        for h in gs[1:]:
+            g = g_free_product(g, h)
+        assert g.n == 16 and g.total() == math.factorial(16)
+        assert g_from_catenary(catenary_from_g(g)) == g
+        rep = detect_free_product(g)
+        assert [(k, s) for k, s, _, _ in rep.factors] == pinches
+        assert rep.factors[0][2] == gs[0]
+        for _, _, left, right in rep.factors:
+            assert g_free_product(left, right) == g
 
 
 class TestFactorAtPinchpoint:

@@ -171,6 +171,78 @@ class TestConversions:
             c = CatenaryData(n, r, counts)
             assert catenary_from_g(g_from_catenary(c)) == c
 
+    @staticmethod
+    def _scan(g):
+        # back-substitution over all C(n, r) compositions, sorted lowest in
+        # dominance first and, within a height, in compositions() order
+        residual = dict(g.coeffs)
+        counts = {}
+        order = sorted(compositions(g.n, g.r),
+                       key=lambda comp: sum(itertools.accumulate(comp)),
+                       reverse=True)
+        for a in order:
+            key = comp_to_seq(a)
+            num = residual.get(key, 0)
+            if num == 0:
+                continue
+            coeffs = gamma_expand(a).coeffs
+            den = coeffs[key]
+            if num % den:
+                raise ExactnessError(
+                    f"gamma coordinate at {a} is {num}/{den}: not an integer")
+            nu = num // den
+            if nu < 0:
+                raise ExactnessError(
+                    f"gamma coordinate at {a} is negative: {nu}")
+            counts[a] = nu
+            for sym, coeff in coeffs.items():
+                residual[sym] = residual.get(sym, 0) - nu * coeff
+        assert not any(residual.values())
+        return CatenaryData(g.n, g.r, counts)
+
+    @staticmethod
+    def _outcome(solve, g):
+        try:
+            return solve(g)
+        except ExactnessError as exc:
+            return type(exc), str(exc)
+
+    def test_heap_solve_is_the_full_scan(self, corpus, cache):
+        # corpus invariants, then the same vectors with one or two symbols
+        # moved by +-k: the same counts, or the same first failing coordinate
+        rng = random.Random(29)
+        failures = 0
+        for name, m in corpus:
+            g = cache.g(name, m)
+            assert catenary_from_g(g) == self._scan(g), name
+            by_height = {}
+            for a in compositions(g.n, g.r):
+                by_height.setdefault(sum(itertools.accumulate(a)), []) \
+                    .append(comp_to_seq(a))
+            symbols = [s for level in by_height.values() for s in level]
+            for _ in range(12):
+                first = rng.choice(symbols)
+                mode = rng.randrange(3)
+                if mode == 0:
+                    picks = [first]
+                elif mode == 1:
+                    # a tie in height: which one fails first is the order
+                    level = by_height[sum(itertools.accumulate(
+                        seq_to_comp(first)))]
+                    picks = rng.sample(level, min(2, len(level)))
+                else:
+                    picks = [first, rng.choice(symbols)]
+                coeffs = dict(g.coeffs)
+                for s in picks:
+                    den = gamma_expand(seq_to_comp(s))[s]
+                    k = rng.choice([1, 2, den, 3 * den])
+                    coeffs[s] = coeffs.get(s, 0) + rng.choice((-k, k))
+                h = GInvariant(g.n, g.r, coeffs)
+                got = self._outcome(catenary_from_g, h)
+                assert got == self._outcome(self._scan, h), (name, picks)
+                failures += isinstance(got, tuple)
+        assert failures > 500
+
     def test_non_matroid_rejected(self):
         with pytest.raises(ExactnessError):
             catenary_from_g(GInvariant(3, 2, {"110": 1}))
@@ -254,6 +326,16 @@ class TestTutte:
     def test_non_matroid_rejected(self):
         with pytest.raises(ExactnessError):
             tutte_from_g(GInvariant(3, 2, {"110": 1}))
+
+    def test_non_integral_coefficient_message(self):
+        # the reduced fraction coefficient / n! names the first bad term
+        for g, msg in [
+                (GInvariant(3, 2, {"110": 1}), "at (1, 0) is 1/6"),
+                (GInvariant(4, 2, {"1100": 5, "1010": -3}),
+                 "at (1, 0) is 11/12")]:
+            with pytest.raises(ExactnessError) as exc:
+                tutte_from_g(g)
+            assert str(exc.value) == f"Tutte coefficient {msg}: not an integer"
 
 
 class TestBasisCount:

@@ -10,7 +10,7 @@ from gcat import (PresentationError, build_matroid, dowling3, elements_of,
                   from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
 from gcat.matroid import _basis_scan
-from conftest import K4_EDGES, TRIANGLE, load_data
+from conftest import K4_EDGES, TRIANGLE, load_data, presentations, subsets
 
 
 def spanning_forest_count(edges):
@@ -351,62 +351,6 @@ class TestAxioms:
                     assert meet == max(below, key=lambda z: z.bit_count())
 
 
-# -- presentation rank oracles -------------------------------------------------
-
-def _subsets(n, min_size=0):
-    return st.sets(st.integers(0, n - 1), min_size=min_size, max_size=n)
-
-
-@st.composite
-def _graphs(draw, max_n):
-    nverts = draw(st.integers(1, 5))
-    vert = st.integers(0, nverts - 1)
-    # small vertex counts make loops and parallel edges common
-    return from_graph(draw(st.lists(st.tuples(vert, vert), max_size=max_n)))
-
-
-@st.composite
-def _uniforms(draw, max_n):
-    n = draw(st.integers(0, max_n))
-    return uniform(draw(st.integers(0, n)), n)
-
-
-@st.composite
-def _pavings(draw, max_n):
-    n = draw(st.integers(3, max_n))
-    r = draw(st.integers(2, min(4, n - 1)))
-    kept = []
-    for c in draw(st.lists(_subsets(n, r), max_size=8)):
-        c = mask_of(c)
-        if c != (1 << n) - 1 and all((c & d).bit_count() <= r - 2 for d in kept):
-            kept.append(c)
-    return from_paving_copoints(n, r, kept)
-
-
-@st.composite
-def _nested(draw, max_n):
-    # sizes, ranks and nullities strictly increase along the chain; elements
-    # above its top are coloops
-    n = draw(st.integers(1, max_n))
-    chain = [(draw(st.integers(0, n)), 0)]
-    while chain[-1][0] <= n - 2 and draw(st.booleans()):
-        s0, k = chain[-1]
-        size = draw(st.integers(s0 + 2, n))
-        chain.append((size, draw(st.integers(k + 1, k + size - s0 - 1))))
-    labels = draw(st.permutations(range(n)))
-    return from_cyclic_flats(n, [(labels[:s], k) for s, k in chain])
-
-
-def _presentations(max_n):
-    """Every presentation kind, on at most max_n elements."""
-    # Dowling Z1 has 6 elements, Z2 has 9
-    tables = [t for t in ([[0]], [[0, 1], [1, 0]]) if 3 + 3 * len(t) <= max_n]
-    kinds = [_graphs(max_n), _uniforms(max_n), _pavings(max_n), _nested(max_n)]
-    if tables:
-        kinds.append(st.sampled_from(tables).map(dowling3))
-    return st.one_of(kinds)
-
-
 class TestRankOracle:
     """The presentation's rank function against the scan of its bases."""
 
@@ -420,7 +364,7 @@ class TestRankOracle:
                                    for e in elements_of(m.full & ~f)}, f
 
     @settings(max_examples=60, deadline=None)
-    @given(_presentations(10))
+    @given(presentations(10))
     def test_rank_is_the_basis_scan(self, m):
         self._check(m)
 
@@ -431,7 +375,7 @@ class TestRankOracle:
         # and an accepted one must rank by its min-formula exactly
         n = data.draw(st.integers(1, 6))
         flats = [([], 0)]
-        for f in data.draw(st.lists(_subsets(n, 1), min_size=1, max_size=3)):
+        for f in data.draw(st.lists(subsets(n, 1), min_size=1, max_size=3)):
             flats.append((sorted(f), data.draw(
                 st.integers(1, max(1, len(f) - 1)))))
         try:
@@ -462,7 +406,7 @@ class TestRankTransforms:
         assert m.bases == family
 
     @settings(max_examples=60, deadline=None)
-    @given(_presentations(8))
+    @given(presentations(8))
     def test_unary(self, m):
         n, r, full, bases = m.n, m.r, m.full, m.bases
         new = 1 << n
@@ -489,7 +433,7 @@ class TestRankTransforms:
                 self._agrees(m.relax(x), bases | {x})
 
     @settings(max_examples=60, deadline=None)
-    @given(_presentations(8), st.data())
+    @given(presentations(8), st.data())
     def test_minor(self, m, data):
         roles = data.draw(st.lists(st.sampled_from("kcd"),
                                    min_size=m.n, max_size=m.n))
@@ -509,7 +453,7 @@ class TestRankTransforms:
             mask_of(relabel[e] for e in elements_of(b)) for b in family})
 
     @settings(max_examples=60, deadline=None)
-    @given(_presentations(6), _presentations(4))
+    @given(presentations(6), presentations(4))
     def test_binary(self, m1, m2):
         n1, b1s, b2s = m1.n, m1.bases, m2.bases
         self._agrees(m1.direct_sum(m2), {b1 | b2 << n1 for b1 in b1s
