@@ -8,12 +8,11 @@ are used where they are simpler, with cross-checks where both exist.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .errors import ExactnessError
-from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
-                         g_from_catenary, g_invariant)
+from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum,
+                         catenary_from_g, g_from_catenary, g_invariant)
 from .matroid import Matroid
 
 
@@ -69,21 +68,6 @@ def g_lift(g: GInvariant) -> GInvariant:
 
 # -- direct sums ---------------------------------------------------------------
 
-def _shuffles(a: tuple, b: tuple):
-    """All interleavings of two tuples, with the position sets of a."""
-    m, n = len(a), len(b)
-    for pos in itertools.combinations(range(m + n), m):
-        out = [None] * (m + n)
-        ai = iter(a)
-        for p in pos:
-            out[p] = next(ai)
-        bi = iter(b)
-        for i in range(m + n):
-            if out[i] is None:
-                out[i] = next(bi)
-        yield tuple(out)
-
-
 def g_shuffle(g1: GInvariant, g2: GInvariant) -> GInvariant:
     """G-invariant of the direct sum, through the gamma basis.
 
@@ -93,16 +77,6 @@ def g_shuffle(g1: GInvariant, g2: GInvariant) -> GInvariant:
     """
     return g_from_catenary(cat_direct_sum(catenary_from_g(g1),
                                           catenary_from_g(g2)))
-
-
-def cat_direct_sum(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
-    """Catenary data of a direct sum: shuffle the positive parts, add loops."""
-    counts = _accumulate(
-        ((a[0] + b[0],) + s, x * y)
-        for a, x in c1.counts.items()
-        for b, y in c2.counts.items()
-        for s in _shuffles(a[1:], b[1:]))
-    return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)
 
 
 # -- single-element and loop adjustments ----------------------------------------

@@ -199,13 +199,12 @@ class TuttePolynomial:
         return hash(frozenset(self.terms.items()))
 
     def __repr__(self):
-        def mono(i, j):
-            parts = [f"x^{i}" if i > 1 else "x" if i else "",
-                     f"y^{j}" if j > 1 else "y" if j else ""]
-            return "".join(parts) or "1"
+        def term(i, j, c):
+            mono = ((f"x^{i}" if i > 1 else "x" if i else "")
+                    + (f"y^{j}" if j > 1 else "y" if j else ""))
+            return mono if c == 1 and mono else f"{c}{mono}"
         body = " + ".join(
-            (f"{c}" if c != 1 or (i == 0 and j == 0) else "") + mono(i, j)
-            for (i, j), c in sorted(self.terms.items(), reverse=True))
+            term(i, j, c) for (i, j), c in sorted(self.terms.items(), reverse=True))
         return f"TuttePolynomial({body})"
 
 
@@ -272,6 +271,23 @@ def gamma_one(a: tuple) -> int:
 # -- catenary data of a matroid -----------------------------------------------
 
 def catenary(m: Matroid) -> CatenaryData:
+    """Flag counts by composition: the flag walk of the coloop-free core.
+
+    A matroid with k coloops is its deletion of them plus U(k,k), and
+    U(k,k) has the one key (0, 1, ..., 1) with k! flags.  So the coloops
+    are split off, the rest is walked by `_flag_walk`, and the coloops are
+    shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
+    copies of the core's flat lattice that they would multiply it into.
+    """
+    coloops = m.coloops()
+    if not coloops:
+        return _flag_walk(m)
+    k = coloops.bit_count()
+    free = CatenaryData(k, k, {(0,) + (1,) * k: math.factorial(k)})
+    return cat_direct_sum(_flag_walk(m.delete(coloops)), free)
+
+
+def _flag_walk(m: Matroid) -> CatenaryData:
     """Flag counts by composition, by a walk up the flats rank by rank.
 
     Each rank-k flat carries a counter of the compositions of the chains
@@ -291,6 +307,31 @@ def catenary(m: Matroid) -> CatenaryData:
                     acc[prefix + step] += cnt
         level = above
     return CatenaryData(m.n, m.r, level[m.full])
+
+
+def _shuffles(a: tuple, b: tuple):
+    """All interleavings of two tuples, with the position sets of a."""
+    m, n = len(a), len(b)
+    for pos in itertools.combinations(range(m + n), m):
+        out = [None] * (m + n)
+        ai = iter(a)
+        for p in pos:
+            out[p] = next(ai)
+        bi = iter(b)
+        for i in range(m + n):
+            if out[i] is None:
+                out[i] = next(bi)
+        yield tuple(out)
+
+
+def cat_direct_sum(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
+    """Catenary data of a direct sum: shuffle the positive parts, add loops."""
+    counts: Counter = Counter()
+    for a, x in c1.counts.items():
+        for b, y in c2.counts.items():
+            for s in _shuffles(a[1:], b[1:]):
+                counts[(a[0] + b[0],) + s] += x * y
+    return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)
 
 
 def g_from_catenary(c: CatenaryData) -> GInvariant:

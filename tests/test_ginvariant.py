@@ -3,9 +3,10 @@
 import itertools
 import math
 import random
+import time
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
@@ -14,7 +15,40 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   g_brute_force, g_from_catenary, g_invariant, gamma_expand,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
-from conftest import K4_EDGES, load_data
+from gcat.ginvariant import _flag_walk
+from conftest import K4_EDGES, load_data, presentations
+
+
+@st.composite
+def _bridged_graphs(draw):
+    """Two random blocks joined by a bridge, with pendant edges hung off
+    them, the edges listed in a random order so the coloops interleave."""
+    a, b = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    edges = draw(st.lists(st.tuples(st.integers(0, a - 1),
+                                    st.integers(0, a - 1)), max_size=4))
+    edges += draw(st.lists(st.tuples(st.integers(a, a + b - 1),
+                                     st.integers(a, a + b - 1)), max_size=4))
+    edges.append((draw(st.integers(0, a - 1)), draw(st.integers(a, a + b - 1))))
+    for v in range(a + b, a + b + draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    return from_graph(draw(st.permutations(edges)))
+
+
+@st.composite
+def _with_coloops(draw):
+    """A presentation (n <= 8) with 1-4 coloops added, or a bridged graph."""
+    how = draw(st.sampled_from(["add_coloop", "left", "right", "bridges"]))
+    if how == "bridges":
+        return draw(_bridged_graphs())
+    m = draw(presentations(8))
+    k = draw(st.integers(1, 4))
+    if how == "left":
+        return uniform(k, k).direct_sum(m)
+    if how == "right":
+        return m.direct_sum(uniform(k, k))
+    for _ in range(k):
+        m = m.add_coloop()
+    return m
 
 
 class TestBijection:
@@ -136,6 +170,27 @@ class TestCatenary:
 
     def test_u516_is_a_design(self):
         assert catenary(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
+
+    @settings(max_examples=40, deadline=None)
+    @given(_with_coloops())
+    def test_coloop_split_is_the_flag_walk(self, m):
+        assert m.coloops()
+        c = catenary(m)
+        assert c == _flag_walk(m)
+        if m.n <= 9:
+            assert c == catenary_from_g(g_brute_force(m))
+
+    def test_coloops_are_not_walked(self):
+        # K4 with a 40-edge path hung off a vertex: 40 coloops, which would
+        # multiply the 15 flats of K4 into about 2^40 for the flag walk
+        path = [(3 + i, 4 + i) for i in range(40)]
+        m = from_graph(K4_EDGES + path, validate=False)
+        t0 = time.perf_counter()
+        c = catenary(m)
+        assert time.perf_counter() - t0 < 1.0
+        assert (m.n, m.r) == (46, 43)
+        assert basis_count(c) == 16
+        assert c.total() == 18 * math.factorial(40) * math.comb(43, 3)
 
     def test_rank0_and_empty(self):
         assert catenary(uniform(0, 2)).counts == {(2,): 1}
@@ -414,3 +469,9 @@ class TestTuttePolynomialType:
         t = TuttePolynomial({(2, 0): 1, (1, 0): 1, (0, 1): 1})
         assert t.evaluate(2, 2) == 8
         assert t == TuttePolynomial({(0, 1): 1, (1, 0): 1, (2, 0): 1, (5, 5): 0})
+
+    def test_repr_constants(self):
+        assert repr(TuttePolynomial({(0, 0): 1})) == "TuttePolynomial(1)"
+        assert repr(TuttePolynomial({(0, 0): 2})) == "TuttePolynomial(2)"
+        assert repr(TuttePolynomial({(1, 0): 1, (0, 0): 3})) \
+            == "TuttePolynomial(x + 3)"
