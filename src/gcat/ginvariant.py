@@ -202,10 +202,13 @@ class TuttePolynomial:
         def term(i, j, c):
             mono = ((f"x^{i}" if i > 1 else "x" if i else "")
                     + (f"y^{j}" if j > 1 else "y" if j else ""))
-            return mono if c == 1 and mono else f"{c}{mono}"
+            if mono and c in (1, -1):
+                return mono if c == 1 else f"-{mono}"
+            return f"{c}{mono}"
         body = " + ".join(
-            term(i, j, c) for (i, j), c in sorted(self.terms.items(), reverse=True))
-        return f"TuttePolynomial({body})"
+            term(i, j, c) for (i, j), c in sorted(self.terms.items(), reverse=True)
+        ).replace(" + -", " - ")
+        return f"TuttePolynomial({body or 0})"
 
 
 # -- gamma basis --------------------------------------------------------------

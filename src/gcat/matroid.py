@@ -6,9 +6,12 @@ for a graph, min(|X|, r) for a uniform matroid, copoint containment for a
 paving matroid, the min-formula for cyclic flats, and, for a matroid given
 by its bases, the largest intersection with a basis.  A derived matroid
 (minor, dual, truncation, extension, relaxation, sum, product) ranks through
-a transform of its parents' rank, so it keeps them alive.  Closure, covers
-and flats are built from rank alone; the bases are built only when read
-(exchange validation, equality, the top-symbol check).  Everything here is
+a transform of its parents' rank, so it keeps them alive.  Closure, from
+which covers and flats are built, comes from the presentation where one
+supplies it: graph, uniform, paving, Dowling and cyclic-flat matroids, and a
+minor of any of these.  Every other matroid closes a set by one rank call
+per element outside it.  The bases are built only when read (exchange
+validation, equality, the top-symbol check).  Everything here is
 desk-scale and exact; these matroids double as ground-truth oracles for the
 invariant-level machinery.
 """
@@ -20,7 +23,7 @@ import itertools
 from .errors import PresentationError
 
 # Exchange-axiom validation is automatic up to this many elements; above it,
-# pass validate=True explicitly (quadratic in the number of bases).
+# pass validate=True explicitly (|B|·r·(n-r) bitset ORs over the bases).
 VALIDATE_LIMIT = 12
 
 
@@ -53,19 +56,22 @@ class Matroid:
     """A matroid with ground set {0, ..., n-1}, given by its rank function.
 
     `rank_of` maps a bitmask to its rank; `r` is the rank of the ground set.
+    `closure_of`, when given, maps a bitmask to its closure without ranking.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
     of rank r.  A derived matroid ranks through its parent's `rank`, so it
     keeps its parent (and the parent's caches) alive.  Instances are
     immutable; every operation returns a new matroid.
     """
 
-    __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_rank_cache",
-                 "_flats_by_rank", "_circuits", "_closure_cache")
+    __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
+                 "_rank_cache", "_flats_by_rank", "_circuits", "_closure_cache")
 
-    def __init__(self, n: int, rank_of, *, validate: bool | None = None):
+    def __init__(self, n: int, rank_of, *, closure_of=None,
+                 validate: bool | None = None):
         self.n = n
         self.full = (1 << n) - 1
         self._rank_of = rank_of
+        self._closure_of = closure_of
         self.r = rank_of(self.full)
         self._bases = None
         self._rank_cache = {0: 0}
@@ -94,27 +100,38 @@ class Matroid:
         """For all bases b1, b2 and x in b1 - b2, some y in b2 - b1 has
         b1 - x + y a basis.
 
-        Per b1, the y that complete b1 - x to a basis are precomputed as a
-        mask for each x, so each (b1, b2, x) is one test against b2.
+        Equivalently, every basis meets need(b1, x): x itself and the y that
+        complete b1 - x to a basis.  Bit j of column e is set when the j-th
+        basis holds e, so the OR of the columns of need(b1, x) is the set of
+        bases meeting it.  A failure is reported at the first b2 in the
+        order of `bases` and then the first x, as a pairwise scan finds it.
         """
         bases = self.bases
-        for b1 in bases:
-            outside = [1 << y for y in elements_of(self.full & ~b1)]
-            # b2 passes at x when it holds x itself or one of its swaps
-            needs = []
+        order = list(bases)
+        cols = [0] * self.n
+        for j, b in enumerate(order):
+            for e in elements_of(b):
+                cols[e] |= 1 << j
+        every = (1 << len(order)) - 1
+        for b1 in order:
+            outside = elements_of(self.full & ~b1)
+            missed = []
+            anywhere = 0
             for x in elements_of(b1):
                 stub = b1 & ~(1 << x)
-                need = 1 << x
+                met = cols[x]
                 for y in outside:
-                    if stub | y in bases:
-                        need |= y
-                needs.append((x, need))
-            for b2 in bases:
-                for x, need in needs:
-                    if not b2 & need:
-                        raise PresentationError(
-                            f"basis-exchange fails for {elements_of(b1)}, "
-                            f"{elements_of(b2)} at element {x}")
+                    if stub | 1 << y in bases:
+                        met |= cols[y]
+                missed.append((x, every & ~met))
+                anywhere |= every & ~met
+            if anywhere:
+                low = anywhere & -anywhere
+                x = next(x for x, miss in missed if miss & low)
+                raise PresentationError(
+                    f"basis-exchange fails for {elements_of(b1)}, "
+                    f"{elements_of(order[low.bit_length() - 1])} "
+                    f"at element {x}")
 
     # -- basic queries --------------------------------------------------
 
@@ -128,12 +145,14 @@ class Matroid:
     def closure(self, x: int) -> int:
         cached = self._closure_cache.get(x)
         if cached is None:
-            rx = self.rank(x)
-            cached = x
-            rest = self.full & ~x
-            for e in elements_of(rest):
-                if self.rank(x | (1 << e)) == rx:
-                    cached |= 1 << e
+            if self._closure_of is not None:
+                cached = self._closure_of(x)
+            else:
+                rx = self.rank(x)
+                cached = x
+                for e in elements_of(self.full & ~x):
+                    if self.rank(x | (1 << e)) == rx:
+                        cached |= 1 << e
             self._closure_cache[x] = cached
         return cached
 
@@ -237,22 +256,45 @@ class Matroid:
         """The minor M / contract \\ delete, relabeled onto {0, ..., m-1}.
 
         Remaining elements keep their relative order; a set of them ranks
-        as r(X | contract) - r(contract) once mapped back.
+        as r(X | contract) - r(contract) once mapped back.  When M closes
+        from its presentation, so does the minor: cl(X) is
+        cl_M(X | contract) less contract and delete, mapped back.  A closure
+        M already holds is read from M's cache (sibling minors, such as a
+        deck's, share M's walk); any other comes from M's uncached closure
+        and is stored in the minor alone, never copied into M.
         """
         if contract & delete:
             raise ValueError("contract and delete sets overlap")
-        keep = [1 << e for e in elements_of(self.full & ~(contract | delete))]
+        remain = self.full & ~(contract | delete)
+        keep = [1 << e for e in elements_of(remain)]
         rank, rc = self.rank, self.rank(contract)
 
-        def rank_of(x):
+        def lift(x):
             y = contract
             while x:
                 low = x & -x
                 x ^= low
                 y |= keep[low.bit_length() - 1]
-            return rank(y) - rc
+            return y
 
-        return Matroid(len(keep), rank_of, validate=False)
+        closure_of = None
+        if self._closure_of is not None:
+            held, parent_closure = self._closure_cache, self._closure_of
+            index = {bit: 1 << i for i, bit in enumerate(keep)}
+
+            def closure_of(x):
+                y = lift(x)
+                cy = held.get(y)
+                y = (parent_closure(y) if cy is None else cy) & remain
+                out = 0
+                while y:
+                    low = y & -y
+                    y ^= low
+                    out |= index[low]
+                return out
+
+        return Matroid(len(keep), lambda x: rank(lift(x)) - rc,
+                       closure_of=closure_of, validate=False)
 
     def restrict(self, x: int) -> "Matroid":
         return self.minor(delete=self.full & ~x)
@@ -354,20 +396,34 @@ class Matroid:
 def uniform(r: int, n: int, **kw) -> Matroid:
     if not 0 <= r <= n:
         raise PresentationError(f"U({r},{n}) is not a matroid")
-    return Matroid(n, lambda x: min(x.bit_count(), r), validate=False)
+    full = (1 << n) - 1
+    return Matroid(n, lambda x: min(x.bit_count(), r),
+                   closure_of=lambda x: x if x.bit_count() < r else full,
+                   validate=False)
 
 
 def from_graph(edges, **kw) -> Matroid:
     """Cycle matroid of a multigraph given as a list of (u, v) edges.
 
     The rank of an edge set is the number of union-find merges it makes.
+    Its closure is every edge whose ends lie in one component: the loops,
+    and each edge incident to two vertices of one merged component.
     """
     edges = [tuple(e) for e in edges]
     index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
     ends = [(index[u], index[v]) for u, v in edges]
     nverts = len(index)
+    incident = [0] * nverts
+    loops = 0
+    for i, (u, v) in enumerate(ends):
+        if u == v:
+            loops |= 1 << i
+        else:
+            incident[u] |= 1 << i
+            incident[v] |= 1 << i
 
-    def rank_of(x):
+    def merge(x):
+        """Union-find over the edges of x: the parent array, merge count."""
         parent = list(range(nverts))
         merges = 0
         while x:
@@ -381,9 +437,25 @@ def from_graph(edges, **kw) -> Matroid:
             if u != v:
                 parent[u] = v
                 merges += 1
-        return merges
+        return parent, merges
 
-    return Matroid(len(edges), rank_of, **kw)
+    def rank_of(x):
+        return merge(x)[1]
+
+    def closure_of(x):
+        parent, _ = merge(x)
+        # an edge met at two vertices of one component lies inside it
+        seen = [0] * nverts
+        out = loops
+        for v in range(nverts):
+            root = v
+            while parent[root] != root:
+                root = parent[root]
+            out |= seen[root] & incident[v]
+            seen[root] |= incident[v]
+        return out
+
+    return Matroid(len(edges), rank_of, closure_of=closure_of, **kw)
 
 
 def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
@@ -393,7 +465,8 @@ def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
     most r-2 elements, as hyperplanes of a paving matroid do; then each
     (r-1)-subset lies in at most one listed copoint, and a set of at least
     r elements has rank r-1 when it lies inside a listed copoint and r
-    otherwise.
+    otherwise.  So a set of at least r-1 elements closes to the listed
+    copoint holding it, if any; else to itself at r-1 elements, else to E.
     """
     if r < 1 or r > n:
         raise PresentationError(f"paving rank {r} out of range for n={n}")
@@ -418,7 +491,16 @@ def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
             return size
         return r - 1 if any(x & ~c == 0 for c in masks) else r
 
-    return Matroid(n, rank_of, **kw)
+    def closure_of(x):
+        size = x.bit_count()
+        if size < r - 1:
+            return x
+        for c in masks:
+            if x & ~c == 0:
+                return c
+        return x if size == r - 1 else full
+
+    return Matroid(n, rank_of, closure_of=closure_of, **kw)
 
 
 def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
@@ -428,7 +510,9 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
     min over listed pairs of rank(F) + |X - F|.  The list must contain the
     minimal cyclic flat (the loops, possibly the empty set) with rank 0.
     The min-formula is a matroid rank function exactly when it is
-    submodular on every pair of listed sets, which is checked.
+    submodular on every pair of listed sets, which is checked.  An element
+    e outside X leaves that minimum unchanged exactly when some F attaining
+    it holds e, so cl(X) is X together with every such F.
     """
     pairs = []
     full = (1 << n) - 1
@@ -443,6 +527,14 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
     def rank_of(x):
         return min(k + (x & ~f).bit_count() for f, k in pairs)
 
+    def closure_of(x):
+        scores = [k + (x & ~f).bit_count() for f, k in pairs]
+        low = min(scores)
+        for (f, _), score in zip(pairs, scores):
+            if score == low:
+                x |= f
+        return x
+
     if rank_of(0) != 0:
         raise PresentationError("no listed cyclic flat has rank 0 (the loop set)")
     for f, k in pairs:
@@ -454,7 +546,7 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
             raise PresentationError(
                 f"ranks of {elements_of(f1)} and {elements_of(f2)} "
                 "are not submodular")
-    return Matroid(n, rank_of, **kw)
+    return Matroid(n, rank_of, closure_of=closure_of, **kw)
 
 
 def _check_group_table(table) -> list[list[int]]:

@@ -167,6 +167,8 @@ class TestCatenary:
         m = from_graph(k8, validate=False)
         assert basis_count(catenary(m)) == 8 ** 6  # Cayley
         assert m._bases is None
+        # the flats close by union-find: only the 28 coloop tests rank
+        assert len(m._rank_cache) <= 40
 
     def test_u516_is_a_design(self):
         assert catenary(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
@@ -475,3 +477,10 @@ class TestTuttePolynomialType:
         assert repr(TuttePolynomial({(0, 0): 2})) == "TuttePolynomial(2)"
         assert repr(TuttePolynomial({(1, 0): 1, (0, 0): 3})) \
             == "TuttePolynomial(x + 3)"
+
+    def test_repr_signs_and_zero(self):
+        assert repr(TuttePolynomial({(2, 0): 1, (1, 1): -2})) \
+            == "TuttePolynomial(x^2 - 2xy)"
+        assert repr(TuttePolynomial({(1, 0): -1, (0, 1): 1, (0, 0): -1})) \
+            == "TuttePolynomial(-x + y - 1)"
+        assert repr(TuttePolynomial({})) == "TuttePolynomial(0)"

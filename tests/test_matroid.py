@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcat import (PresentationError, build_matroid, dowling3, elements_of,
-                  from_bases, from_cyclic_flats, from_graph,
+from gcat import (PresentationError, build_matroid, catenary, dowling3,
+                  elements_of, from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
 from gcat.matroid import _basis_scan
 from conftest import K4_EDGES, TRIANGLE, load_data, presentations, subsets
@@ -220,6 +220,19 @@ class TestMinorsAndDual:
         for name, m in corpus:
             assert m.dual().dual().bases == m.bases, name
 
+    def test_minor_stores_each_closure_once(self):
+        # a 7-cycle with a 6-edge path hung off it: catenary walks the
+        # deletion of the 6 coloops, whose closures come from the parent's
+        # uncached closure; the parent keeps only the coloop tests, the
+        # ground set and the empty set
+        cycle = [(i, (i + 1) % 7) for i in range(7)]
+        path = [(6 + i, 7 + i) for i in range(6)]
+        m = from_graph(cycle + path, validate=False)
+        assert m.n == 13
+        catenary(m)
+        assert m._closure_cache == {}
+        assert len(m._rank_cache) <= 15
+
 
 class TestConstructions:
     def test_truncate(self):
@@ -351,6 +364,20 @@ class TestAxioms:
                     assert meet == max(below, key=lambda z: z.bit_count())
 
 
+@st.composite
+def _cyclic_flat_lists(draw):
+    """Arbitrary lists above the empty rank-0 flat, built when accepted
+    (None when rejected)."""
+    n = draw(st.integers(1, 6))
+    flats = [([], 0)]
+    for f in draw(st.lists(subsets(n, 1), min_size=1, max_size=3)):
+        flats.append((sorted(f), draw(st.integers(1, max(1, len(f) - 1)))))
+    try:
+        return from_cyclic_flats(n, flats)
+    except PresentationError:
+        return None
+
+
 class TestRankOracle:
     """The presentation's rank function against the scan of its bases."""
 
@@ -369,20 +396,113 @@ class TestRankOracle:
         self._check(m)
 
     @settings(max_examples=200, deadline=None)
-    @given(st.data())
-    def test_accepted_cyclic_flat_lists_rank_exactly(self, data):
-        # arbitrary lists above the empty rank-0 flat; most are rejected,
-        # and an accepted one must rank by its min-formula exactly
-        n = data.draw(st.integers(1, 6))
-        flats = [([], 0)]
-        for f in data.draw(st.lists(subsets(n, 1), min_size=1, max_size=3)):
-            flats.append((sorted(f), data.draw(
-                st.integers(1, max(1, len(f) - 1)))))
-        try:
-            m = from_cyclic_flats(n, flats)
-        except PresentationError:
-            return
+    @given(_cyclic_flat_lists())
+    def test_accepted_cyclic_flat_lists_rank_exactly(self, m):
+        # most lists are rejected; an accepted one must rank by its
+        # min-formula exactly
+        if m is not None:
+            self._check(m)
+
+
+def _rank_closure(m, x):
+    """Closure by definition: x and every element that keeps its rank."""
+    rx = m.rank(x)
+    return x | mask_of(e for e in elements_of(m.full & ~x)
+                       if m.rank(x | 1 << e) == rx)
+
+
+@st.composite
+def _minors(draw, max_n):
+    m = draw(presentations(max_n))
+    if draw(st.booleans()):
+        m.flats()  # the minor then reads closures the parent holds
+    roles = draw(st.lists(st.sampled_from("kcd"), min_size=m.n, max_size=m.n))
+    return m.minor(mask_of(e for e, t in enumerate(roles) if t == "c"),
+                   mask_of(e for e, t in enumerate(roles) if t == "d"))
+
+
+class TestClosureOracle:
+    """Each presentation's closure against closure by rank, on every subset."""
+
+    @staticmethod
+    def _check(m):
+        assert m._closure_of is not None
+        for x in range(1 << m.n):
+            assert m.closure(x) == _rank_closure(m, x), x
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(10))
+    def test_presentations(self, m):
         self._check(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_minors(10))
+    def test_minors(self, m):
+        self._check(m)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cyclic_flat_lists())
+    def test_accepted_cyclic_flat_lists(self, m):
+        if m is not None:
+            self._check(m)
+
+
+def _pairwise_exchange(n, bases):
+    """The exchange check as a scan over basis pairs (the reference)."""
+    full = (1 << n) - 1
+    for b1 in bases:
+        outside = [1 << y for y in elements_of(full & ~b1)]
+        needs = []
+        for x in elements_of(b1):
+            stub = b1 & ~(1 << x)
+            need = 1 << x
+            for y in outside:
+                if stub | y in bases:
+                    need |= y
+            needs.append((x, need))
+        for b2 in bases:
+            for x, need in needs:
+                if not b2 & need:
+                    raise PresentationError(
+                        f"basis-exchange fails for {elements_of(b1)}, "
+                        f"{elements_of(b2)} at element {x}")
+
+
+@st.composite
+def _basis_families(draw):
+    """A matroid's bases with up to two r-subsets toggled, or r-subsets at
+    random, as a list of masks in a drawn order."""
+    if draw(st.booleans()):
+        m = draw(presentations(7))
+        n, r, family = m.n, m.r, set(m.bases)
+        pool = [mask_of(c) for c in itertools.combinations(range(n), r)]
+        for x in draw(st.lists(st.sampled_from(pool), max_size=2)):
+            family ^= {x}
+    else:
+        n = draw(st.integers(1, 7))
+        r = draw(st.integers(0, n))
+        pool = [mask_of(c) for c in itertools.combinations(range(n), r)]
+        family = set(draw(st.lists(st.sampled_from(pool), min_size=1,
+                                   max_size=12)))
+    return n, draw(st.permutations(sorted(family)))
+
+
+def _outcome(check):
+    try:
+        check()
+    except PresentationError as exc:
+        return type(exc), str(exc)
+    return None
+
+
+class TestExchangeCheck:
+    @settings(max_examples=400, deadline=None)
+    @given(_basis_families())
+    def test_column_check_is_the_pairwise_scan(self, drawn):
+        n, family = drawn
+        if family:
+            assert _outcome(lambda: from_bases(n, family, validate=True)) \
+                == _outcome(lambda: _pairwise_exchange(n, frozenset(family)))
 
 
 def _independent(bases, x):
