@@ -10,8 +10,8 @@ detects free-product factorizations, with brute-force oracles for all of it.
 """
 
 from .configuration import (Configuration, basis_count_config, canonical_key,
-                            catenary_from_config, config_interval,
-                            config_minor, config_truncate, configuration_of,
+                            catenary_from_config, config_minor,
+                            config_truncate, configuration_of,
                             independent_copoint_count)
 from .constructions import (cat_add_loops, cat_direct_sum, cat_qcone,
                             cat_strip_loops, dc_sum_check,

@@ -1,23 +1,35 @@
 """Configurations: size/rank-labeled lattices of cyclic flats.
 
-A configuration forgets which sets the cyclic flats are, keeping only the
-abstract lattice with each node labeled by the size and rank of its flat.
-For a coloop-free matroid the configuration determines the catenary data;
-the computation recurses over chains of the lattice, counting the ways to
-interleave coloops of intermediate flats between the chain's nodes, with
-the independent-copoint counts of the interval minors supplied by an
-inclusion/exclusion over chains and exact basis counts.
+A configuration keeps only the abstract lattice of cyclic flats (Bonin and
+de Mier) with each node labeled by the size and rank of its flat; for a
+coloop-free matroid it determines the catenary data.  The computation is
+one dynamic program over the states (lo, hi, T) of the given lattice: the
+interval minor [lo, hi] truncated to rank T <= rank(hi), whose interior is
+the nodes strictly between lo and hi of rank below T.  Truncating a state
+lowers T and its intervals [v, hi] keep T, so no configuration is rebuilt.
+The basis and independent-copoint counts of a state are sums over one node
+of its interior; a single walk over the chains of the whole lattice then
+multiplies the independent-copoint counts of each chain's steps by the
+interleavings of their coloops.  Every memo lives for one call.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
+from bisect import bisect_left
 from dataclasses import dataclass, field
-from functools import lru_cache
 
-from .ginvariant import CatenaryData, basis_count, _falling
+from .errors import ExactnessError
+from .ginvariant import CatenaryData
 from .matroid import Matroid
+
+
+def _bits(mask: int):
+    """Indices of the set bits of `mask`, ascending."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
 
 
 @dataclass(frozen=True)
@@ -35,40 +47,58 @@ class Configuration:
     # the unique minimum and maximum nodes, found once by __post_init__
     bottom: int = field(init=False, compare=False)
     top: int = field(init=False, compare=False)
+    # up[i]: bitmask of the nodes strictly above node i
+    up: tuple[int, ...] = field(init=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "sizes", tuple(int(x) for x in self.sizes))
-        object.__setattr__(self, "ranks", tuple(int(x) for x in self.ranks))
-        object.__setattr__(self, "less", frozenset(
-            (int(i), int(j)) for i, j in self.less))
-        m = len(self.sizes)
-        if m == 0 or len(self.ranks) != m:
+        sizes = tuple(int(x) for x in self.sizes)
+        ranks = tuple(int(x) for x in self.ranks)
+        less = frozenset((int(i), int(j)) for i, j in self.less)
+        m = len(sizes)
+        if m == 0 or len(ranks) != m:
             raise ValueError("sizes and ranks must label the same nonempty node set")
-        for i, j in self.less:
-            if not (0 <= i < m and 0 <= j < m) or i == j:
+        up = [0] * m
+        for i, j in less:
+            if not (0 <= i < m and 0 <= j < m):
                 raise ValueError(f"bad order pair ({i}, {j})")
-            if (j, i) in self.less:
-                raise ValueError(f"order is not antisymmetric at ({i}, {j})")
-            if self.sizes[i] >= self.sizes[j] or self.ranks[i] >= self.ranks[j]:
+            # rising ranks make the order irreflexive and antisymmetric
+            if sizes[i] >= sizes[j] or ranks[i] >= ranks[j]:
                 raise ValueError(
                     f"size and rank must strictly increase: node {i} vs {j}")
-            if self.sizes[i] - self.ranks[i] >= self.sizes[j] - self.ranks[j]:
+            if sizes[i] - ranks[i] >= sizes[j] - ranks[j]:
                 raise ValueError(
                     f"size minus rank must strictly increase: node {i} vs {j}")
-        for i, j in self.less:
-            for k in range(m):
-                if (j, k) in self.less and (i, k) not in self.less:
-                    raise ValueError("order is not transitive")
-        bottoms = [i for i in range(m)
-                   if all((i, j) in self.less for j in range(m) if j != i)]
-        tops = [j for j in range(m)
-                if all((i, j) in self.less for i in range(m) if i != j)]
+            up[i] |= 1 << j
+        if any(up[j] & ~up[i] for i in range(m) for j in _bits(up[i])):
+            raise ValueError("order is not transitive")
+        full = (1 << m) - 1
+        bottoms = [i for i in range(m) if up[i] | 1 << i == full]
+        # a unique maximal node of a finite order is its maximum
+        tops = [j for j in range(m) if not up[j]]
         if len(bottoms) != 1 or len(tops) != 1:
             raise ValueError("order must have a unique minimum and maximum")
-        object.__setattr__(self, "bottom", bottoms[0])
-        object.__setattr__(self, "top", tops[0])
-        if self.ranks[self.bottom] != 0:
+        if ranks[bottoms[0]] != 0:
             raise ValueError("the minimum node must have rank 0")
+        for name, value in (("sizes", sizes), ("ranks", ranks), ("less", less),
+                            ("up", tuple(up)), ("bottom", bottoms[0]),
+                            ("top", tops[0])):
+            object.__setattr__(self, name, value)
+
+    @classmethod
+    def from_covers(cls, sizes, ranks, covers) -> Configuration:
+        """The configuration whose order is generated by `covers`."""
+        m = len(ranks)  # unequal label counts are rejected by cls()
+        up = [0] * m
+        for i, j in covers:
+            if not (0 <= i < m and 0 <= j < m):
+                raise ValueError(f"bad order pair ({i}, {j})")
+            up[i] |= 1 << j
+        # by falling rank, so joined up-sets are closed (covers raise rank)
+        for i in sorted(range(m), key=lambda v: -ranks[v]):
+            for j in _bits(up[i]):
+                up[i] |= up[j]
+        return cls(sizes, ranks, frozenset(
+            (i, j) for i in range(m) for j in _bits(up[i])))
 
     @property
     def m(self) -> int:
@@ -80,22 +110,20 @@ class Configuration:
     def size(self) -> int:
         return self.sizes[self.top]
 
-    def comparable(self, i: int, j: int) -> bool:
-        return i == j or (i, j) in self.less or (j, i) in self.less
-
     def below(self, j: int) -> list[int]:
-        return [i for i in range(self.m) if (i, j) in self.less]
+        return [i for i in range(self.m) if self.up[i] >> j & 1]
 
     def above(self, i: int) -> list[int]:
-        return [j for j in range(self.m) if (i, j) in self.less]
+        return list(_bits(self.up[i]))
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs of the order, for serialization."""
         out = []
-        for i, j in sorted(self.less):
-            if not any((i, k) in self.less and (k, j) in self.less
-                       for k in range(self.m)):
-                out.append((i, j))
+        for i, mask in enumerate(self.up):
+            reach = 0
+            for k in _bits(mask):
+                reach |= self.up[k]
+            out.extend((i, j) for j in _bits(mask & ~reach))
         return out
 
     def __repr__(self):
@@ -112,27 +140,25 @@ def _relabel(sizes, ranks, less, order) -> Configuration:
                   if i in pos and j in pos))
 
 
-@lru_cache(maxsize=None)
 def canonical_key(c: Configuration):
-    """Isomorphism-stable serialization used as a memo key.
+    """Isomorphism-stable serialization of a configuration.
 
     Nodes are colored by (rank, size) and refined by the color multisets of
     their strict down- and up-sets until stable, then sorted.  Equal keys
     imply isomorphic configurations (the full relation is serialized);
-    unbroken ties can at worst cost a cache hit, never correctness.
+    unbroken ties can at worst tell isomorphic configurations apart.
     """
     m = c.m
+    above = [c.above(i) for i in range(m)]
+    below = [c.below(i) for i in range(m)]
     colors = [(c.ranks[i], c.sizes[i]) for i in range(m)]
     for _ in range(m):
-        new = []
-        for i in range(m):
-            down = sorted(colors[j] for j in range(m) if (j, i) in c.less)
-            up = sorted(colors[j] for j in range(m) if (i, j) in c.less)
-            new.append((colors[i], tuple(down), tuple(up)))
-        if len(set(new)) == len(set(colors)):
-            colors = new
-            break
+        new = [(colors[i], tuple(sorted(colors[j] for j in below[i])),
+                tuple(sorted(colors[j] for j in above[i]))) for i in range(m)]
+        stable = len(set(new)) == len(set(colors))
         colors = new
+        if stable:
+            break
     order = sorted(range(m), key=lambda i: (colors[i], i))
     pos = {node: i for i, node in enumerate(order)}
     rel = frozenset((pos[i], pos[j]) for i, j in c.less)
@@ -155,25 +181,12 @@ def config_minor(c: Configuration, x: int, mode: str) -> Configuration:
     """Interval minor at node x: the configuration of the restriction to,
     or contraction by, the corresponding cyclic flat."""
     if mode == "restrict":
-        order = sorted(c.below(x)) + [x]
-        return _relabel(c.sizes, c.ranks, c.less, order)
+        return _relabel(c.sizes, c.ranks, c.less, c.below(x) + [x])
     if mode == "contract":
-        order = [x] + sorted(c.above(x))
         sizes = [c.sizes[v] - c.sizes[x] for v in range(c.m)]
         ranks = [c.ranks[v] - c.ranks[x] for v in range(c.m)]
-        return _relabel(sizes, ranks, c.less, order)
+        return _relabel(sizes, ranks, c.less, [x] + c.above(x))
     raise ValueError(f"unknown minor mode {mode!r}")
-
-
-def config_interval(c: Configuration, lo: int, hi: int) -> Configuration:
-    """Configuration of the minor restricted to [lo, hi], labels rebased."""
-    if lo == hi:
-        return Configuration((0,), (0,), frozenset())
-    nodes = [lo] + sorted(v for v in range(c.m)
-                          if (lo, v) in c.less and (v, hi) in c.less) + [hi]
-    sizes = [c.sizes[v] - c.sizes[lo] for v in range(c.m)]
-    ranks = [c.ranks[v] - c.ranks[lo] for v in range(c.m)]
-    return _relabel(sizes, ranks, c.less, nodes)
 
 
 def config_truncate(c: Configuration) -> Configuration:
@@ -182,170 +195,151 @@ def config_truncate(c: Configuration) -> Configuration:
     r = c.rank()
     if r < 1:
         raise ValueError("cannot truncate a rank-0 configuration")
-    keep = [v for v in range(c.m) if c.ranks[v] <= r - 2]
-    sizes = [c.sizes[v] for v in keep] + [c.size()]
-    ranks = [c.ranks[v] for v in keep] + [r - 1]
-    top = len(keep)
-    less = set()
-    for a, i in enumerate(keep):
-        for b, j in enumerate(keep):
-            if (i, j) in c.less:
-                less.add((a, b))
-        less.add((a, top))
-    return Configuration(tuple(sizes), tuple(ranks), frozenset(less))
+    ranks = list(c.ranks)
+    ranks[c.top] = r - 1
+    keep = [v for v in range(c.m) if ranks[v] <= r - 2] + [c.top]
+    return _relabel(c.sizes, ranks, c.less, keep)
 
 
 # -- catenary data from a configuration --------------------------------------
 
-def _chains_between(c: Configuration, lo: int, hi: int):
-    """All chains lo < ... < hi in the order (not only saturated ones)."""
-    if lo == hi:
-        yield (lo,)
-        return
-    out = []
-
-    def walk(cur, acc):
-        if cur == hi:
-            out.append(tuple(acc))
-            return
-        for nxt in c.above(cur):
-            if nxt == hi or (nxt, hi) in c.less:
-                acc.append(nxt)
-                walk(nxt, acc)
-                acc.pop()
-
-    walk(lo, [lo])
-    yield from out
+def _occupancy(w: tuple) -> dict[tuple, int]:
+    """Interleavings of the coloops of a chain with rank gaps w[i] + 1, by
+    column sums: each of step i's w[i] coloops in turn goes into one of the
+    columns 0..i, at any place among the entries already there."""
+    dist = {(0,) * len(w): 1}
+    for i, wi in enumerate(w):
+        for _ in range(wi):
+            nxt: dict[tuple, int] = {}
+            for cols, x in dist.items():
+                for j in range(i + 1):
+                    grown = cols[:j] + (cols[j] + 1,) + cols[j + 1:]
+                    nxt[grown] = nxt.get(grown, 0) + x * grown[j]
+            dist = nxt
+    return dist
 
 
-def _row_compositions(total: int, parts: int):
-    """Weak compositions of `total` into `parts` nonnegative parts."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for cuts in itertools.combinations(range(total + parts - 1), parts - 1):
-        prev = -1
-        comp = []
-        for cv in cuts:
-            comp.append(cv - prev - 1)
-            prev = cv
-        comp.append(total + parts - 2 - prev)
-        yield tuple(comp)
+class _Lattice:
+    """One configuration's lattice with its nodes renumbered in rank order,
+    so that ascending bits are a linear extension, and memos of the basis
+    and independent-copoint counts of its states (lo, hi, T)."""
 
+    def __init__(self, c: Configuration):
+        order = sorted(range(c.m), key=lambda v: (c.ranks[v], v))
+        pos = {v: i for i, v in enumerate(order)}
+        self.sizes = [c.sizes[v] for v in order]
+        self.ranks = [c.ranks[v] for v in order]
+        self.up = [sum(1 << pos[w] for w in _bits(c.up[v])) for v in order]
+        self.down = [0] * c.m
+        for i, mask in enumerate(self.up):
+            for j in _bits(mask):
+                self.down[j] |= 1 << i
+        # under[t]: the nodes of rank below t, a prefix of the rank order
+        self.under = [(1 << bisect_left(self.ranks, t)) - 1
+                      for t in range(c.rank() + 1)]
+        self._basis: dict[tuple, int] = {}
+        self._iota: dict[tuple, int] = {}
 
-_iota_memo: dict = {}
-_catenary_memo: dict = {}
+    def interior(self, lo: int, hi: int, t: int) -> int:
+        return self.up[lo] & self.down[hi] & self.under[t]
+
+    def basis(self, lo: int, hi: int, t: int) -> int:
+        """Bases of the state (lo, hi, t) of rank r.  Its flags weighted by
+        the product of their parts sum to r! b.  Grouped by the last cyclic
+        flat u of their chain below the top, with a chain's coloop
+        interleavings summed in closed form (a coloop placed while stepping
+        up to relative rank rho goes after one of the steps so far or next
+        to a coloop already placed), they give r b = sum over u of
+        b[lo, u] * iota(u, hi, t) * (the part from u to the top)."""
+        r = t - self.ranks[lo]
+        inner = self.interior(lo, hi, t)
+        if not inner:
+            return math.comb(self.sizes[hi] - self.sizes[lo], r)
+        got = self._basis.get((lo, hi, t))
+        if got is None:
+            total = 0
+            for u in (lo, *_bits(inner)):
+                part = self.sizes[hi] - self.sizes[u] - t + self.ranks[u] + 1
+                total += (self.basis(lo, u, self.ranks[u])
+                          * self.iota(u, hi, t) * part)
+            got, rem = divmod(total, r)
+            if rem:
+                raise ExactnessError(f"basis count {total}/{r} is not whole")
+            self._basis[(lo, hi, t)] = got
+        return got
+
+    def iota(self, lo: int, hi: int, t: int) -> int:
+        """Independent copoints of the state: bases of its truncation plus,
+        for each chain F_1 < ... < F_p of its interior, (-1)^p times the
+        bases of [lo, F_1], ..., [F_(p-1), F_p] and of the truncated
+        [F_p, hi].  The chains after F_1 sum to iota(F_1, hi, t)."""
+        got = self._iota.get((lo, hi, t))
+        if got is None:
+            got = self.basis(lo, hi, t - 1)
+            for v in _bits(self.interior(lo, hi, t)):
+                got -= self.basis(lo, v, self.ranks[v]) * self.iota(v, hi, t)
+            if got < 0:
+                raise ExactnessError(
+                    f"independent-copoint count {got} is negative: "
+                    "not the configuration of a matroid")
+            self._iota[(lo, hi, t)] = got
+        return got
+
+    def flags(self) -> dict[tuple, int]:
+        """Flag counts by composition: over the chains of cyclic flats from
+        bottom to top, the independent-copoint counts of the steps times
+        the interleavings of their coloops.  The walk keeps one sum per
+        sequence of (rank gap - 1, size jump) steps."""
+        top = len(self.ranks) - 1
+        if top == 0:
+            return {(self.sizes[0],): 1}
+        acc: dict[int, dict[tuple, int]] = {0: {(): 1}}
+        for u in range(top):
+            here = acc.pop(u, None)
+            if not here:
+                continue
+            for v in _bits(self.up[u]):
+                x = self.iota(u, v, self.ranks[v])
+                if x:
+                    gap = self.ranks[v] - self.ranks[u]
+                    step = ((gap - 1, self.sizes[v] - self.sizes[u] - gap + 1),)
+                    into = acc.setdefault(v, {})
+                    for key, y in here.items():
+                        into[key + step] = into.get(key + step, 0) + x * y
+        counts: dict[tuple, int] = {}
+        occupancy: dict[tuple, dict] = {}
+        for steps, x in acc.get(top, {}).items():
+            w = tuple(g for g, _ in steps)
+            if w not in occupancy:
+                occupancy[w] = _occupancy(w)
+            for cols, ways in occupancy[w].items():
+                comp = [self.sizes[0]]
+                for col, (_, jump) in zip(cols, steps):
+                    comp += [1] * col
+                    comp.append(jump)
+                comp = tuple(comp)
+                counts[comp] = counts.get(comp, 0) + x * ways
+        return counts
 
 
 def independent_copoint_count(c: Configuration) -> int:
-    """Number of independent copoints, from the configuration alone.
-
-    Inclusion/exclusion over chains of proper cyclic flats: the count is
-    bases(Trun) plus, for each nonempty chain F_1 < ... < F_p, the signed
-    product of the basis counts of the interval minors and of the truncated
-    top contraction.
-    """
+    """Number of independent copoints, from the configuration alone."""
     if c.sizes[c.bottom] != 0:
         raise ValueError("independent copoints need a loopless configuration")
-    r = c.rank()
-    if r == 0:
+    if c.rank() == 0:
         return 0
-    key = canonical_key(c)
-    got = _iota_memo.get(key)
-    if got is not None:
-        return got
-
-    def b_of(smaller: Configuration) -> int:
-        # every basis count the inclusion/exclusion needs lives strictly
-        # below this configuration's rank, which is what grounds the
-        # mutual recursion with catenary_from_config
-        assert smaller.rank() < r
-        return basis_count_config(smaller)
-
-    total = b_of(config_truncate(c))
-    interior = [v for v in range(c.m) if 0 < c.ranks[v] < r]
-    bot, top = c.bottom, c.top
-    for first in interior:
-        stack = [(first, [first])]
-        while stack:
-            cur, chain = stack.pop()
-            term = b_of(config_interval(c, bot, chain[0]))
-            for a, b in zip(chain, chain[1:]):
-                term *= b_of(config_interval(c, a, b))
-            term *= b_of(config_truncate(config_interval(c, chain[-1], top)))
-            total += (-1) ** len(chain) * term
-            for nxt in c.above(cur):
-                if nxt in interior:
-                    stack.append((nxt, chain + [nxt]))
-    _iota_memo[key] = total
-    return total
+    return _Lattice(c).iota(0, c.m - 1, c.rank())
 
 
 def basis_count_config(c: Configuration) -> int:
     """Number of bases of any matroid with this configuration."""
-    return basis_count(catenary_from_config(c))
+    return _Lattice(c).basis(0, c.m - 1, c.rank())
 
 
 def catenary_from_config(c: Configuration) -> CatenaryData:
     """Catenary data of any coloop-free matroid with this configuration.
 
-    Loops are stripped off the bottom label and restored afterwards.  A
-    two-node (or smaller) configuration is a uniform matroid; otherwise each
-    chain of cyclic flats contributes flags whose coloops interleave between
-    the chain's steps, enumerated by lower-triangular occupancy matrices.
-    """
-    key = canonical_key(c)
-    got = _catenary_memo.get(key)
-    if got is not None:
-        return got
-    h = c.sizes[c.bottom]
-    if h:
-        sizes = tuple(s - h for s in c.sizes)
-        stripped = Configuration(sizes, c.ranks, c.less)
-        inner = catenary_from_config(stripped)
-        out = CatenaryData(inner.n + h, inner.r,
-                           {(h,) + comp[1:]: v for comp, v in inner.counts.items()})
-        _catenary_memo[key] = out
-        return out
-    n, r = c.size(), c.rank()
-    if c.m == 1:
-        out = CatenaryData(n, 0, {(n,): 1})
-        _catenary_memo[key] = out
-        return out
-    if c.m == 2:
-        comp = (0,) + (1,) * (r - 1) + (n - r + 1,)
-        out = CatenaryData(n, r, {comp: _falling(n, r - 1)})
-        _catenary_memo[key] = out
-        return out
-
-    counts: dict[tuple, int] = {}
-    bot, top = c.bottom, c.top
-    for chain in _chains_between(c, bot, top):
-        t = len(chain) - 1
-        w = [c.ranks[chain[i]] - c.ranks[chain[i - 1]] - 1 for i in range(1, t + 1)]
-        iotas = [independent_copoint_count(config_interval(c, chain[i - 1], chain[i]))
-                 for i in range(1, t + 1)]
-        mult = math.prod(iotas)
-        if mult == 0:
-            continue
-        jumps = [c.sizes[chain[i]] - c.sizes[chain[i - 1]] - w[i - 1]
-                 for i in range(1, t + 1)]
-        for rows in itertools.product(*(_row_compositions(w[i], i + 1)
-                                        for i in range(t))):
-            cols = [sum(rows[i][j] for i in range(j, t)) for j in range(t)]
-            ways = mult
-            for i in range(t):
-                row_ways = math.factorial(w[i])
-                for entry in rows[i]:
-                    row_ways //= math.factorial(entry)
-                ways *= row_ways * math.factorial(cols[i])
-            comp = [0]
-            for j in range(t):
-                comp.extend([1] * cols[j])
-                comp.append(jumps[j])
-            key_c = tuple(comp)
-            counts[key_c] = counts.get(key_c, 0) + ways
-    out = CatenaryData(n, r, counts)
-    _catenary_memo[key] = out
-    return out
+    A lattice that no matroid has can give a negative independent-copoint
+    count, which raises ExactnessError; flag counts are positive-weighted
+    sums of their products."""
+    return CatenaryData(c.size(), c.rank(), _Lattice(c).flags())

@@ -33,10 +33,8 @@ class FactorizationReport:
 
 def pinchpoints(c: Configuration) -> list[int]:
     """Interior nodes comparable to every node of the configuration."""
-    bot, top = c.bottom, c.top
-    return [x for x in range(c.m)
-            if x not in (bot, top)
-            and all(c.comparable(x, y) for y in range(c.m))]
+    return [x for x in range(c.m) if x not in (c.bottom, c.top)
+            and len(c.below(x)) + c.up[x].bit_count() == c.m - 1]
 
 
 def _cyclic_census(c: CatenaryData) -> dict[tuple[int, int], int]:

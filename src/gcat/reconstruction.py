@@ -231,17 +231,13 @@ def copoint_deck(m: Matroid) -> Deck:
 
 def size_grouped_copoint_deck(m: Matroid) -> Deck:
     """The copoint deck with same-size entries summed (the h-sums form)."""
-    by_size: dict[int, dict[str, int]] = {}
-    shapes: dict[int, tuple[int, int]] = {}
-    for x in m.copoints():
-        g = g_invariant(m.restrict(x))
-        acc = by_size.setdefault(g.n, {})
+    by_size: dict[tuple[int, int], dict[str, int]] = {}
+    for g, mult in copoint_deck(m).entries:
+        acc = by_size.setdefault((g.n, g.r), {})
         for key, c in g.coeffs.items():
-            acc[key] = acc.get(key, 0) + c
-        shapes[g.n] = (g.n, g.r)
-    entries = tuple((GInvariant(*shapes[s], by_size[s]), 1)
-                    for s in sorted(by_size))
-    return Deck("h-sums", entries)
+            acc[key] = acc.get(key, 0) + mult * c
+    return Deck("h-sums", tuple((GInvariant(n, r, acc), 1)
+                                for (n, r), acc in sorted(by_size.items())))
 
 
 def circuit_deck(m: Matroid) -> Deck:

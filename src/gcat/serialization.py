@@ -81,18 +81,8 @@ def configuration_from_json(doc: dict) -> Configuration:
         covers = [(int(i), int(j)) for i, j in doc["covers"]]
     except (KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad configuration payload: {exc}") from exc
-    m = len(sizes)
-    less = set(covers)
-    changed = True
-    while changed:
-        changed = False
-        for i, j in list(less):
-            for j2, k in list(less):
-                if j2 == j and (i, k) not in less:
-                    less.add((i, k))
-                    changed = True
     try:
-        return Configuration(sizes, ranks, frozenset(less))
+        return Configuration.from_covers(sizes, ranks, covers)
     except ValueError as exc:
         raise PresentationError(f"bad configuration: {exc}") from exc
 

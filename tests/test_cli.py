@@ -136,6 +136,17 @@ class TestConfig:
         _, c2 = run(capsys, "config", data("fig1-n"))
         assert c1 == c2
 
+    def test_non_matroid_configuration_is_exit_2(self, capsys, tmp_path):
+        # two rank-1 cyclic flats of size 3 cannot be disjoint in 5 elements
+        conf = tmp_path / "conf.json"
+        conf.write_text(json.dumps({
+            "nodes": [{"size": 0, "rank": 0}, {"size": 3, "rank": 1},
+                      {"size": 3, "rank": 1}, {"size": 5, "rank": 2}],
+            "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}))
+        code, out = run(capsys, "config-catenary", conf)
+        assert code == 2
+        assert out == ""
+
 
 class TestDetect:
     def test_not_proper(self, capsys):

@@ -1,12 +1,27 @@
 """Configurations and the catenary-from-configuration recursion."""
 
+import itertools
+
 import pytest
 
-from gcat import (Configuration, basis_count_config, canonical_key, catenary,
-                  catenary_from_config, config_minor, config_truncate,
-                  configuration_of, from_graph, independent_copoint_count,
-                  uniform)
+import gcat.configuration
+from gcat import (Configuration, ExactnessError, basis_count_config,
+                  canonical_key, catenary, catenary_from_config, config_minor,
+                  config_truncate, configuration_of, from_graph,
+                  independent_copoint_count, uniform)
+from gcat.serialization import configuration_from_json, configuration_to_json
 from conftest import K4_EDGES, load_data
+
+# two parallel classes of size 3 in a rank-2 matroid on 5 elements: the
+# labels pass the order checks but no matroid has this lattice
+NOT_A_MATROID = Configuration((0, 3, 3, 5), (0, 1, 1, 2),
+                              frozenset({(0, 1), (0, 2), (0, 3), (1, 3),
+                                         (2, 3)}))
+
+
+def complete_graph(v):
+    return from_graph(list(itertools.combinations(range(v), 2)),
+                      validate=False)
 
 
 def chain_config(labels) -> Configuration:
@@ -36,6 +51,21 @@ class TestConfigurationType:
     def test_covers(self):
         c = chain_config([(0, 0), (2, 1), (4, 2)])
         assert c.covers() == [(0, 1), (1, 2)]
+
+    def test_up_masks(self):
+        c = chain_config([(0, 0), (2, 1), (4, 2)])
+        assert c.up == (0b110, 0b100, 0)
+        assert c.below(2) == [0, 1] and c.above(0) == [1, 2]
+
+    def test_from_covers_closes_the_order(self):
+        c = chain_config([(0, 0), (2, 1), (4, 2), (7, 3)])
+        assert Configuration.from_covers(c.sizes, c.ranks, c.covers()) == c
+        with pytest.raises(ValueError):
+            Configuration.from_covers((0, 2), (0, 1), [(0, 2)])
+
+    def test_k6_json_round_trip(self):
+        c = configuration_of(complete_graph(6))
+        assert configuration_from_json(configuration_to_json(c)) == c
 
 
 class TestConfigurationOf:
@@ -121,6 +151,10 @@ class TestIota:
             got = independent_copoint_count(configuration_of(m))
             assert got == exhaustive_independent_copoints(m), name
 
+    def test_not_a_matroid(self):
+        with pytest.raises(ExactnessError, match="negative"):
+            independent_copoint_count(NOT_A_MATROID)
+
 
 class TestBasisCount:
     def test_examples(self):
@@ -170,6 +204,37 @@ class TestCatenaryFromConfig:
         conf = configuration_of(prism)
         assert conf.m == 14
         assert catenary_from_config(conf) == catenary(prism)
+
+    def test_k6(self):
+        m = complete_graph(6)
+        assert catenary_from_config(configuration_of(m)) == catenary(m)
+
+    def test_not_a_matroid(self):
+        with pytest.raises(ExactnessError, match="negative"):
+            catenary_from_config(NOT_A_MATROID)
+
+    def test_no_state_outlives_a_call(self):
+        def module_state():
+            out = {}
+            for name, value in vars(gcat.configuration).items():
+                if name.startswith("__"):
+                    continue
+                if isinstance(value, (dict, list, set)):
+                    out[name] = len(value)
+                elif hasattr(value, "cache_info"):
+                    out[name] = value.cache_info().currsize
+            return out
+
+        before = module_state()
+        for m in (load_data("fig1-m"), complete_graph(5), uniform(3, 6)):
+            conf = configuration_of(m)
+            for _ in range(2):
+                catenary_from_config(conf)
+                independent_copoint_count(conf)
+                canonical_key(conf)
+        assert module_state() == before
+        assert not any(hasattr(value, "cache_info")
+                       for value in vars(gcat.configuration).values())
 
 
 class TestCanonicalKey:
