@@ -1,10 +1,11 @@
 """The paper's counts at sizes no brute-force oracle reaches.
 
 Closed forms serve as the oracles: the flag total of M(K_v) is the number
-of maximal chains of the partition lattice, v!(v-1)!/2^(v-1), and its
-basis count is Cayley's v^(v-2).  The configuration theorem is checked
-against the flag count of the matroid itself.  Not part of the tier-1
-suite; run as
+of maximal chains of the partition lattice, v!(v-1)!/2^(v-1), its basis
+count is Cayley's v^(v-2), and its G-invariant sums to n!.  The
+configuration theorem is checked against the flag count of the matroid
+itself, and free-product detection against the parts it was built from.
+Not part of the tier-1 suite; run as
 
     PYTHONPATH=src python -m pytest scale/
 """
@@ -15,7 +16,8 @@ import math
 import pytest
 
 from gcat import (basis_count, catenary, catenary_from_config,
-                  configuration_of, from_graph)
+                  catenary_from_g, configuration_of, detect_free_product,
+                  from_graph, g_free_product, g_from_catenary, g_invariant)
 from gcat.serialization import configuration_from_json, configuration_to_json
 
 
@@ -30,6 +32,20 @@ def test_k9_flags_and_spanning_trees():
     assert c.total() == 57_153_600
     assert c.total() == math.factorial(9) * math.factorial(8) // 2 ** 8
     assert basis_count(c) == 9 ** 7
+    g = g_from_catenary(c)
+    assert g.total() == math.factorial(36)
+    assert catenary_from_g(g) == c
+
+
+def test_k5_k6_free_product_detect_then_rebuild():
+    left, right = g_invariant(complete(5)), g_invariant(complete(6))
+    g = g_free_product(left, right)
+    assert g.n == 25 and g.total() == math.factorial(25)
+    rep = detect_free_product(g)
+    assert [(k, s) for k, s, _, _ in rep.factors] == [(4, 10)]
+    (_, _, got_left, got_right), = rep.factors
+    assert (got_left, got_right) == (left, right)
+    assert g_free_product(got_left, got_right) == g
 
 
 @pytest.mark.parametrize("v, nodes, pairs", [(7, 205, 1_709),

@@ -1,12 +1,14 @@
 """Exact matroid invariants: the G-invariant, catenary data, and friends.
 
-Matroids are explicit (basis lists on {0, ..., n-1}); every invariant is an
-exact integer vector.  The package computes the G-invariant and catenary
-data, specializes to the Tutte polynomial, implements the invariant-level
-construction algebra (duals, truncations, sums, free products, q-cones,
-relaxations), extracts flat/circuit censuses, reconstructs invariants from
-decks of minors, derives catenary data from cyclic-flat configurations, and
-detects free-product factorizations, with brute-force oracles for all of it.
+A matroid is a rank function on subsets of {0, ..., n-1}, supplied by its
+presentation (graph, uniform, paving, Dowling, cyclic flats or bases); every
+invariant is an exact integer vector.  The package computes the G-invariant
+and catenary data, specializes to the Tutte polynomial, implements the
+invariant-level construction algebra (duals, truncations, sums, free
+products, q-cones, relaxations), extracts flat/circuit censuses,
+reconstructs invariants from decks of minors, derives catenary data from
+cyclic-flat configurations, and detects free-product factorizations, with
+brute-force oracles for all of it.
 """
 
 from .configuration import (Configuration, basis_count_config, canonical_key,

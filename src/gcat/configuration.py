@@ -21,15 +21,7 @@ from dataclasses import dataclass, field
 
 from .errors import ExactnessError
 from .ginvariant import CatenaryData
-from .matroid import Matroid
-
-
-def _bits(mask: int):
-    """Indices of the set bits of `mask`, ascending."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
+from .matroid import Matroid, elements_of
 
 
 @dataclass(frozen=True)
@@ -69,7 +61,7 @@ class Configuration:
                 raise ValueError(
                     f"size minus rank must strictly increase: node {i} vs {j}")
             up[i] |= 1 << j
-        if any(up[j] & ~up[i] for i in range(m) for j in _bits(up[i])):
+        if any(up[j] & ~up[i] for i in range(m) for j in elements_of(up[i])):
             raise ValueError("order is not transitive")
         full = (1 << m) - 1
         bottoms = [i for i in range(m) if up[i] | 1 << i == full]
@@ -95,10 +87,10 @@ class Configuration:
             up[i] |= 1 << j
         # by falling rank, so joined up-sets are closed (covers raise rank)
         for i in sorted(range(m), key=lambda v: -ranks[v]):
-            for j in _bits(up[i]):
+            for j in elements_of(up[i]):
                 up[i] |= up[j]
         return cls(sizes, ranks, frozenset(
-            (i, j) for i in range(m) for j in _bits(up[i])))
+            (i, j) for i in range(m) for j in elements_of(up[i])))
 
     @property
     def m(self) -> int:
@@ -114,16 +106,16 @@ class Configuration:
         return [i for i in range(self.m) if self.up[i] >> j & 1]
 
     def above(self, i: int) -> list[int]:
-        return list(_bits(self.up[i]))
+        return elements_of(self.up[i])
 
     def covers(self) -> list[tuple[int, int]]:
         """Covering pairs of the order, for serialization."""
         out = []
         for i, mask in enumerate(self.up):
             reach = 0
-            for k in _bits(mask):
+            for k in elements_of(mask):
                 reach |= self.up[k]
-            out.extend((i, j) for j in _bits(mask & ~reach))
+            out.extend((i, j) for j in elements_of(mask & ~reach))
         return out
 
     def __repr__(self):
@@ -170,11 +162,21 @@ def configuration_of(m: Matroid) -> Configuration:
     if m.coloops():
         raise ValueError("configurations are defined for coloop-free matroids")
     zf = m.cyclic_flats()
-    less = frozenset((i, j) for i, (f1, _) in enumerate(zf)
-                     for j, (f2, _) in enumerate(zf)
-                     if f1 != f2 and f1 & ~f2 == 0)
+    # holder[e]: the nodes whose flat holds e; a node's up-set is the nodes
+    # holding all of its elements
+    holder = [0] * m.n
+    for i, (f, _) in enumerate(zf):
+        for e in elements_of(f):
+            holder[e] |= 1 << i
+    full = (1 << len(zf)) - 1
+    less = []
+    for i, (f, _) in enumerate(zf):
+        up = full & ~(1 << i)
+        for e in elements_of(f):
+            up &= holder[e]
+        less.extend((i, j) for j in elements_of(up))
     return Configuration(tuple(f.bit_count() for f, _ in zf),
-                         tuple(k for _, k in zf), less)
+                         tuple(k for _, k in zf), frozenset(less))
 
 
 def config_minor(c: Configuration, x: int, mode: str) -> Configuration:
@@ -229,10 +231,11 @@ class _Lattice:
         pos = {v: i for i, v in enumerate(order)}
         self.sizes = [c.sizes[v] for v in order]
         self.ranks = [c.ranks[v] for v in order]
-        self.up = [sum(1 << pos[w] for w in _bits(c.up[v])) for v in order]
+        self.up = [sum(1 << pos[w] for w in elements_of(c.up[v]))
+                   for v in order]
         self.down = [0] * c.m
         for i, mask in enumerate(self.up):
-            for j in _bits(mask):
+            for j in elements_of(mask):
                 self.down[j] |= 1 << i
         # under[t]: the nodes of rank below t, a prefix of the rank order
         self.under = [(1 << bisect_left(self.ranks, t)) - 1
@@ -258,7 +261,7 @@ class _Lattice:
         got = self._basis.get((lo, hi, t))
         if got is None:
             total = 0
-            for u in (lo, *_bits(inner)):
+            for u in (lo, *elements_of(inner)):
                 part = self.sizes[hi] - self.sizes[u] - t + self.ranks[u] + 1
                 total += (self.basis(lo, u, self.ranks[u])
                           * self.iota(u, hi, t) * part)
@@ -276,7 +279,7 @@ class _Lattice:
         got = self._iota.get((lo, hi, t))
         if got is None:
             got = self.basis(lo, hi, t - 1)
-            for v in _bits(self.interior(lo, hi, t)):
+            for v in elements_of(self.interior(lo, hi, t)):
                 got -= self.basis(lo, v, self.ranks[v]) * self.iota(v, hi, t)
             if got < 0:
                 raise ExactnessError(
@@ -298,7 +301,7 @@ class _Lattice:
             here = acc.pop(u, None)
             if not here:
                 continue
-            for v in _bits(self.up[u]):
+            for v in elements_of(self.up[u]):
                 x = self.iota(u, v, self.ranks[v])
                 if x:
                     gap = self.ranks[v] - self.ranks[u]

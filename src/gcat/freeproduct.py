@@ -9,6 +9,7 @@ are invisible to the invariant by design, so only proper factorizations
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 from .configuration import Configuration
@@ -38,13 +39,17 @@ def pinchpoints(c: Configuration) -> list[int]:
 
 
 def _cyclic_census(c: CatenaryData) -> dict[tuple[int, int], int]:
-    """Count of cyclic flats by (rank, size), from the catenary data."""
+    """Count of cyclic flats by (rank, size), from the catenary data.
+
+    A rank-k flat of size s lies on a flag, so only the pairs
+    (k, a_0 + ... + a_k) of the catenary keys can hold one."""
     out: dict[tuple[int, int], int] = {}
-    for k in range(c.r + 1):
-        for s in range(k, c.n + 1):
-            v = flat_count_coloops(c, k, s, 0)
-            if v:
-                out[(k, s)] = v
+    realized = {(k, s) for comp in c.counts
+                for k, s in enumerate(itertools.accumulate(comp))}
+    for k, s in sorted(realized):
+        v = flat_count_coloops(c, k, s, 0)
+        if v:
+            out[(k, s)] = v
     return out
 
 

@@ -85,13 +85,6 @@ def compositions(n: int, r: int):
         yield tuple(parts)
 
 
-def _falling(t: int, k: int) -> int:
-    out = 1
-    for i in range(k):
-        out *= t - i
-    return out
-
-
 # -- invariant containers ----------------------------------------------------
 
 def _clean(mapping) -> dict:
@@ -213,50 +206,38 @@ class TuttePolynomial:
 
 # -- gamma basis --------------------------------------------------------------
 
-def _dominated_by(a: tuple) -> list[tuple]:
-    """All compositions b with b dominating a (prefix sums <= those of a)."""
-    r = len(a) - 1
-    n = sum(a)
-    prefixes = list(itertools.accumulate(a))
-    out = []
-
-    def rec(idx, used, parts):
-        if idx == r:
-            rest = n - used
-            if rest >= 1 or (r == 0 and rest == 0):
-                out.append(tuple(parts) + (rest,))
-            return
-        lo = 0 if idx == 0 else 1
-        for val in range(lo, prefixes[idx] - used + 1):
-            parts.append(val)
-            rec(idx + 1, used + val, parts)
-            parts.pop()
-
-    if r == 0:
-        return [a]
-    rec(0, 0, [])
-    return out
-
-
 @lru_cache(maxsize=None)
 def gamma_coeffs(a: tuple) -> dict[str, int]:
     """Symbol-basis coefficients of gamma(a), keyed by rank sequence.
 
     Support is exactly the dominance up-set of a; the diagonal coefficient is
-    a_0! * prod_j a_j (a_j - 1)!.
+    a_0! * prod_j a_j (a_j - 1)!.  The coefficient of b is a product of
+    falling powers, each set by b_j and the prefix sum of b before j, so a
+    depth-first walk over b_0, b_1, ... grows them one factor per step.
     """
     a = tuple(int(x) for x in a)
     if a[0] < 0 or any(x < 1 for x in a[1:]):
         raise ValueError(f"not a composition: {a}")
-    out = {}
+    r = len(a) - 1
+    if r == 0:
+        return {"0" * a[0]: math.factorial(a[0])}
     pa = list(itertools.accumulate(a))
-    for b in _dominated_by(a):
-        pb = list(itertools.accumulate(b))
-        coeff = _falling(a[0], b[0])
-        for j in range(1, len(a)):
-            slack = pa[j - 1] - pb[j - 1]
-            coeff *= a[j] * _falling(a[j] - 1 + slack, b[j] - 1)
-        out[comp_to_seq(b)] = coeff
+    out = {}
+
+    def walk(j, used, coeff, sym):
+        top = pa[j] - 1 - used  # a_j - 1 + slack_j: b_j - 1 runs up to it
+        coeff *= a[j]
+        if j == r:
+            out[sym + "1" + "0" * top] = coeff * math.factorial(top)
+            return
+        for k in range(top + 1):
+            walk(j + 1, used + k + 1, coeff, sym + "1" + "0" * k)
+            coeff *= top - k
+
+    coeff = 1
+    for b0 in range(a[0] + 1):
+        walk(1, b0, coeff, "0" * b0)
+        coeff *= a[0] - b0
     return out
 
 
@@ -265,10 +246,16 @@ def gamma_expand(a) -> GInvariant:
     return GInvariant(sum(a), len(a) - 1, gamma_coeffs(a))
 
 
-@lru_cache(maxsize=None)
 def gamma_one(a: tuple) -> int:
-    """All-ones specialization of gamma(a): its coefficient sum."""
-    return sum(gamma_coeffs(tuple(a)).values())
+    """All-ones specialization of gamma(a): the number of element orderings
+    that generate one flag of composition a, n! prod_i a_i / (n - s_(i-1))
+    with s_i = a_0 + ... + a_i, since the first element outside X_(i-1)
+    must lie in X_i.
+    """
+    n = sum(a)
+    prefix = itertools.accumulate(a[:-1])
+    return (math.factorial(n) * math.prod(a[1:])
+            // math.prod(n - s for s in prefix))
 
 
 # -- catenary data of a matroid -----------------------------------------------
@@ -538,5 +525,5 @@ def paving_catenary(n: int, r: int, copoint_counts: Mapping[int, int]) -> Catena
         if not r - 1 <= m < n:
             raise ValueError(f"copoint size {m} impossible for (n,r)=({n},{r})")
         comp = (0,) + (1,) * (r - 2) + (m - r + 2, n - m)
-        counts[comp] = counts.get(comp, 0) + f * _falling(m, r - 2)
+        counts[comp] = counts.get(comp, 0) + f * math.perm(m, r - 2)
     return CatenaryData(n, r, counts)

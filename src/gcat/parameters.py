@@ -80,7 +80,7 @@ def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
             rhs = 0
         else:
             rhs = chain_count(c, k - cc, k, tuple(range(s - cc, s + 1)))
-        acc = rhs - sum(f[j] * _perm(j, cc) for j in range(cc + 1, k + 1))
+        acc = rhs - sum(f[j] * math.perm(j, cc) for j in range(cc + 1, k + 1))
         denom = math.factorial(cc)
         if acc % denom:
             raise ExactnessError(
@@ -90,10 +90,6 @@ def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
             raise ExactnessError(f"coloop census f_{k}({s},{cc}) = {val} is negative")
         f[cc] = val
     return f[coloops]
-
-
-def _perm(j: int, c: int) -> int:
-    return math.factorial(j) // math.factorial(j - c)
 
 
 def family_counts(g: GInvariant, kind: str, size: int,
@@ -129,24 +125,17 @@ def has_spanning_circuit(g: GInvariant) -> bool:
     return family_counts(g, "circuit", g.r + 1) > 0
 
 
-def _admissible_interior(c: CatenaryData, h: int, k: int, s_h: int, s_k: int):
-    """Candidate strictly increasing interior size sequences for F_{h,k}."""
-    if h == k:
-        if s_h == s_k:
-            yield (s_h,)
-        return
-    gaps = k - h - 1
-    if gaps == 0:
-        yield (s_h, s_k)
-        return
-    for interior in itertools.combinations(range(s_h + 1, s_k), gaps):
-        yield (s_h,) + interior + (s_k,)
-
-
 def _best_chain_sizes(c: CatenaryData, h: int, k: int, s_h: int, s_k: int):
-    """Size sequence with the largest chain count (deterministic tie-break)."""
+    """Size sequence with the largest chain count (deterministic tie-break).
+
+    Only the sequences some catenary key realizes can count a chain; they
+    are tried in ascending order, so the first of the largest count wins.
+    """
+    realized = {tuple(itertools.accumulate(comp[h + 1:k + 1], initial=s_h))
+                for comp in c.counts
+                if sum(comp[:h + 1]) == s_h and sum(comp[:k + 1]) == s_k}
     best = None
-    for sizes in _admissible_interior(c, h, k, s_h, s_k):
+    for sizes in sorted(realized):
         cnt = chain_count(c, h, k, sizes)
         if cnt > 0 and (best is None or cnt > best[0]):
             best = (cnt, sizes)

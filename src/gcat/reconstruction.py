@@ -11,13 +11,14 @@ the deck by exact rational search.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 
 from .constructions import g_dual
 from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
-                         g_from_catenary, g_invariant)
+                         g_from_catenary, g_invariant, gamma_one)
 from .matroid import Matroid
 
 
@@ -117,9 +118,11 @@ def _copoint_catenaries(deck: Deck) -> list[tuple[CatenaryData, int, int]]:
 def recover_n(deck: Deck) -> int:
     """Ground-set size from a copoint deck, by monotone exact search.
 
-    Summing, over deck entries and their flag compositions, the product of
-    a_{j+1}/(n - s_j) over the entry's ranks gives a strictly decreasing
-    function of n that equals 1 exactly at the true ground-set size.
+    Summing, over deck entries and their flag compositions, the share of
+    the n! orderings that generate the flag extended by the copoint's
+    complement (`gamma_one`) gives a strictly decreasing function of n that
+    equals 1 exactly at the true ground-set size.  Each evaluation costs an
+    n!, so the search skips the n that a lower bound already puts above 1.
     """
     cats = _copoint_catenaries(deck)
     entry_rank = cats[0][0].r
@@ -128,21 +131,21 @@ def recover_n(deck: Deck) -> int:
             "rank-0 deck entries leave the ground-set size undetermined")
 
     def value(n: int) -> Fraction:
-        total = Fraction(0)
-        for c, mult, _ in cats:
-            for comp, cnt in c.counts.items():
-                term = Fraction(mult * cnt)
-                s = comp[0]
-                for j in range(entry_rank):
-                    term *= Fraction(comp[j + 1], n - s)
-                    s += comp[j + 1]
-                total += term
-        return total
+        return Fraction(sum(mult * cnt * gamma_one(comp + (n - c.n,))
+                            for c, mult, _ in cats
+                            for comp, cnt in c.counts.items()),
+                        math.factorial(n))
 
     low = max(c.n for c, _, _ in cats)
     cap = sum(c.n * mult * count for c, mult, count in cats) + entry_rank + 1
+    # each a_(j+1)/(n - s_j) is at least a_(j+1)/n, so value(n) > 1 while
+    # n^r is below the weight: the search starts at the first n past those
+    weight = sum(mult * cnt * math.prod(comp[1:])
+                 for c, mult, _ in cats for comp, cnt in c.counts.items())
+    sizes = range(low + 1, cap + 1)
+    start = bisect_left(sizes, weight, key=lambda n: n ** entry_rank)
     prev = None
-    for n in range(low + 1, cap + 1):
+    for n in sizes[start:]:
         cur = value(n)
         if prev is not None and cur >= prev:
             raise ExactnessError("deck equation is not strictly decreasing in n")

@@ -44,7 +44,7 @@ def ginvariant_from_json(doc: dict) -> GInvariant:
     try:
         coeffs = {str(k): int(v) for k, v in doc["coeffs"].items()}
         return GInvariant(int(doc["n"]), int(doc["r"]), coeffs)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad G-invariant payload: {exc}") from exc
 
 
@@ -58,7 +58,7 @@ def catenary_from_json(doc: dict) -> CatenaryData:
         counts = {tuple(int(a) for a in comp): int(v)
                   for comp, v in doc["counts"]}
         return CatenaryData(int(doc["n"]), int(doc["r"]), counts)
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad catenary payload: {exc}") from exc
 
 
@@ -79,7 +79,7 @@ def configuration_from_json(doc: dict) -> Configuration:
         sizes = tuple(int(node["size"]) for node in doc["nodes"])
         ranks = tuple(int(node["rank"]) for node in doc["nodes"])
         covers = [(int(i), int(j)) for i, j in doc["covers"]]
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad configuration payload: {exc}") from exc
     try:
         return Configuration.from_covers(sizes, ranks, covers)
@@ -117,7 +117,7 @@ def deck_from_json(doc: dict) -> Deck:
             else:
                 entries.append((ginvariant_from_json(item["invariant"]), mult))
         return Deck(role, tuple(entries))
-    except (KeyError, TypeError, ValueError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad deck payload: {exc}") from exc
 
 

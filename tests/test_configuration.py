@@ -84,6 +84,15 @@ class TestConfigurationOf:
         with pytest.raises(ValueError):
             configuration_of(uniform(1, 1))
 
+    def test_order_is_containment(self, corpus):
+        for name, m in corpus:
+            if m.coloops():
+                continue
+            zf = [f for f, _ in m.cyclic_flats()]
+            contained = {(i, j) for i, f in enumerate(zf)
+                         for j, g in enumerate(zf) if f != g and f & ~g == 0}
+            assert configuration_of(m).less == contained, name
+
 
 class TestMinorsAndTruncate:
     def test_fig1_interval_minors(self):

@@ -10,6 +10,8 @@ from gcat import (catenary_from_g, configuration_of, detect_free_product,
                   elements_of, factor_at_pinchpoint, from_graph,
                   g_free_product, g_from_catenary, g_invariant, mask_of,
                   pinchpoints, uniform)
+from gcat.freeproduct import _cyclic_census
+from gcat.parameters import flat_count_coloops
 from conftest import K4_EDGES, K5_EDGES, load_data
 
 
@@ -52,6 +54,28 @@ class TestDetect:
             rep = detect_free_product(cache.g(name, m))
             assert rep.is_proper == bool(
                 pinchpoints(configuration_of(m))), name
+
+    def test_census_is_the_full_census(self, corpus, cache):
+        def full(c):
+            out = {}
+            for k in range(c.r + 1):
+                for s in range(k, c.n + 1):
+                    v = flat_count_coloops(c, k, s, 0)
+                    if v:
+                        out[(k, s)] = v
+            return out
+
+        cats = [cache.cat(name, m) for name, m in corpus]
+        pool = [(name, m) for name, m in corpus
+                if 2 <= m.n <= 4 and not m.coloops()]
+        rng = random.Random(29)
+        for _ in range(12):
+            (n1, m1), (n2, m2) = rng.choice(pool), rng.choice(pool)
+            cats.append(catenary_from_g(g_free_product(
+                cache.g(n1, m1), cache.g(n2, m2))))
+        for c in cats:
+            got = _cyclic_census(c)
+            assert list(got.items()) == list(full(c).items()), c
 
     def test_top_of_lattice_is_not_a_pinchpoint(self):
         # with a coloop present the maximum cyclic flat has rank below r(M)

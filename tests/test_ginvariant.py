@@ -13,9 +13,10 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   basis_count, catenary, catenary_from_g, comp_to_seq,
                   compositions, dominates, from_graph,
                   g_brute_force, g_from_catenary, g_invariant, gamma_expand,
+                  gamma_one,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
-from gcat.ginvariant import _flag_walk
+from gcat.ginvariant import _flag_walk, gamma_coeffs
 from conftest import K4_EDGES, load_data, presentations
 
 
@@ -142,6 +143,54 @@ class TestGamma:
         for a in _comps(6, 2):
             top = comp_to_seq((0, 1, 5))
             assert gamma_expand(a).coeffs[top] > 0
+
+
+def _expansion(a):
+    """gamma(a) by the definition: every b of the dominance up-set of a,
+    listed depth-first, with each falling power multiplied out afresh."""
+    def falling(t, k):
+        out = 1
+        for i in range(k):
+            out *= t - i
+        return out
+
+    r, n = len(a) - 1, sum(a)
+    pa = list(itertools.accumulate(a))
+    ups = []
+
+    def rec(idx, used, parts):
+        if idx == r:
+            ups.append(tuple(parts) + (n - used,))
+            return
+        for val in range(0 if idx == 0 else 1, pa[idx] - used + 1):
+            rec(idx + 1, used + val, parts + [val])
+
+    rec(0, 0, [])
+    out = {}
+    for b in ups:
+        pb = list(itertools.accumulate(b))
+        coeff = falling(a[0], b[0])
+        for j in range(1, r + 1):
+            coeff *= a[j] * falling(a[j] - 1 + pa[j - 1] - pb[j - 1], b[j] - 1)
+        out[comp_to_seq(b)] = coeff
+    return out
+
+
+class TestGammaKernels:
+    """The prefix walk and the flag-ordering product against the
+    definition, on every composition with n <= 10."""
+
+    ALL = [a for n in range(11) for r in range(n + 1) for a in _comps(n, r)]
+
+    def test_walk_is_the_expansion(self):
+        assert len(self.ALL) == 2 ** 11 - 1
+        for a in self.ALL:
+            got = gamma_coeffs(a)
+            assert list(got.items()) == list(_expansion(a).items()), a
+
+    def test_gamma_one_is_the_coefficient_sum(self):
+        for a in self.ALL:
+            assert gamma_one(a) == sum(gamma_coeffs(a).values()), a
 
 
 class TestCatenary:

@@ -1,11 +1,15 @@
 """Circle product, slicing, and deck reconstruction round-trips."""
 
+import math
+
 import pytest
 
+import gcat.reconstruction
 from gcat import (CatenaryData, Deck, ExactnessError,
                   catenary, circle_product, circuit_deck,
                   circuit_deck_reconstruct, copoint_deck,
-                  g_invariant, girth_deck, girth_deck_reconstruct, rank_deck,
+                  g_invariant, gamma_one, girth_deck, girth_deck_reconstruct,
+                  rank_deck,
                   reconstruct_from_copoint_deck, recover_n,
                   size_grouped_copoint_deck, slice_assemble, uniform)
 from conftest import load_data
@@ -88,6 +92,22 @@ class TestRecoverN:
             if m.r < 2 or m.n > 6:
                 continue
             assert recover_n(copoint_deck(m)) == m.n, name
+
+    def test_large_ground_sets(self, monkeypatch):
+        # U(2, N) has N one-point copoints and U(3, N) has C(N, 2) two-point
+        # ones; each evaluation of the deck equation costs an n!, so the
+        # search must go straight to the n where the lower bound reaches 1
+        evaluated = []
+
+        def counted(a):
+            evaluated.append(sum(a))
+            return gamma_one(a)
+        monkeypatch.setattr(gcat.reconstruction, "gamma_one", counted)
+        point, line = g_invariant(uniform(1, 1)), g_invariant(uniform(2, 2))
+        assert recover_n(Deck("copoint", ((point, 3000),))) == 3000
+        assert recover_n(Deck("copoint", ((line, math.comb(2000, 2)),))) \
+            == 2000
+        assert evaluated == [3000, 2000]
 
 
 class TestCopointDeck:
