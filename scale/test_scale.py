@@ -4,7 +4,8 @@ Closed forms serve as the oracles: the flag total of M(K_v) is the number
 of maximal chains of the partition lattice, v!(v-1)!/2^(v-1), its basis
 count is Cayley's v^(v-2), and its G-invariant sums to n!.  The
 configuration theorem is checked against the flag count of the matroid
-itself, and free-product detection against the parts it was built from.
+itself, free-product detection against the parts it was built from, and
+copoint-deck reconstruction against the invariant it was taken from.
 Not part of the tier-1 suite; run as
 
     PYTHONPATH=src python -m pytest scale/
@@ -16,8 +17,10 @@ import math
 import pytest
 
 from gcat import (basis_count, catenary, catenary_from_config,
-                  catenary_from_g, configuration_of, detect_free_product,
-                  from_graph, g_free_product, g_from_catenary, g_invariant)
+                  catenary_from_g, configuration_of, copoint_deck,
+                  detect_free_product, from_graph, g_free_product,
+                  g_from_catenary, g_invariant, reconstruct_from_copoint_deck,
+                  recover_n)
 from gcat.serialization import configuration_from_json, configuration_to_json
 
 
@@ -58,3 +61,10 @@ def test_configuration_theorem_on_complete_graphs(v, nodes, pairs):
     c = catenary_from_config(conf)
     assert c == catenary(m)
     assert c.total() == math.factorial(v) * math.factorial(v - 1) // 2 ** (v - 1)
+
+
+def test_k8_copoint_deck_reconstruction():
+    m = complete(8)
+    deck = copoint_deck(m)
+    assert recover_n(deck) == 28
+    assert reconstruct_from_copoint_deck(deck) == g_invariant(m)

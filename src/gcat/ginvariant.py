@@ -17,14 +17,14 @@ import heapq
 import itertools
 import math
 import os
-from collections import Counter, defaultdict
+from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
 from .errors import ExactnessError
-from .matroid import Matroid
+from .matroid import Matroid, elements_of
 
 DEFAULT_ORACLE_LIMIT = 9
 
@@ -280,23 +280,33 @@ def catenary(m: Matroid) -> CatenaryData:
 def _flag_walk(m: Matroid) -> CatenaryData:
     """Flag counts by composition, by a walk up the flats rank by rank.
 
-    Each rank-k flat carries a counter of the compositions of the chains
-    from the bottom flat up to it; the covers of the rank-k flats, from
-    `Matroid.covers`, extend those chains to rank k+1.  Only two ranks of
-    counters are held at a time, and the top flat's counter is the result.
+    A composition is its set of partial sums s_0 < s_1 < ... < s_r = n, so
+    a chain from the bottom flat up to a flat is keyed by the bitmask of
+    its flat sizes, and a cover C extends the key by 1 << |C|.  Each
+    rank-k flat carries a dict from keys to chain counts; the covers of
+    the rank-k flats, from `Matroid.covers`, extend them to rank k+1.  Only
+    two ranks of dicts are held at a time, and the top flat's keys are
+    decoded into compositions once, at the end.
     """
     bottom = m.closure(0)
-    level = {bottom: Counter({(bottom.bit_count(),): 1})}
+    level = {bottom: {1 << bottom.bit_count(): 1}}
     for _ in range(m.r):
-        above: dict[int, Counter] = defaultdict(Counter)
-        for flat, prefixes in level.items():
+        above: dict[int, dict[int, int]] = {}
+        for flat, keys in level.items():
             for cov in m.covers(flat):
-                step = ((cov & ~flat).bit_count(),)
-                acc = above[cov]
-                for prefix, cnt in prefixes.items():
-                    acc[prefix + step] += cnt
+                bit = 1 << cov.bit_count()
+                if (acc := above.get(cov)) is None:
+                    above[cov] = {key | bit: cnt for key, cnt in keys.items()}
+                else:
+                    for key, cnt in keys.items():
+                        key |= bit
+                        acc[key] = acc.get(key, 0) + cnt
         level = above
-    return CatenaryData(m.n, m.r, level[m.full])
+    counts = {}
+    for key, cnt in level[m.full].items():
+        s = elements_of(key)
+        counts[(s[0], *(b - a for a, b in itertools.pairwise(s)))] = cnt
+    return CatenaryData(m.n, m.r, counts)
 
 
 def _shuffles(a: tuple, b: tuple):
@@ -399,23 +409,21 @@ def _rank_table(m: Matroid) -> list[int]:
 
 
 def g_brute_force(m: Matroid, limit: int | None = None) -> GInvariant:
-    """Ground-truth G-invariant: walk all n! element orderings."""
+    """Ground-truth G-invariant: all n! orderings, counted subset by subset."""
     cap = oracle_limit(limit)
     if m.n > cap:
         raise ValueError(f"brute force capped at n <= {cap}, got n = {m.n}")
     table = _rank_table(m)
-    counts: Counter = Counter()
-    for perm in itertools.permutations(range(m.n)):
-        mask = 0
-        prev = 0
-        chars = []
-        for e in perm:
-            mask |= 1 << e
-            cur = table[mask]
-            chars.append("1" if cur > prev else "0")
-            prev = cur
-        counts["".join(chars)] += 1
-    return GInvariant(m.n, m.r, counts)
+    words: list[dict[str, int]] = [{} for _ in table]
+    words[0][""] = 1
+    for mask, here in enumerate(words):
+        for e in elements_of(m.full & ~mask):
+            up = mask | 1 << e
+            ch = "1" if table[up] > table[mask] else "0"
+            acc = words[up]
+            for word, cnt in here.items():
+                acc[word + ch] = acc.get(word + ch, 0) + cnt
+    return GInvariant(m.n, m.r, words[m.full])
 
 
 def tutte_brute_force(m: Matroid, limit: int | None = None) -> TuttePolynomial:

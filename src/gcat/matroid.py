@@ -23,7 +23,7 @@ import itertools
 from .errors import PresentationError
 
 # Exchange-axiom validation is automatic up to this many elements; above it,
-# pass validate=True explicitly (|B|·r·(n-r) bitset ORs over the bases).
+# pass validate=True explicitly (|B|·r bitset ORs over the bases).
 VALIDATE_LIMIT = 12
 
 
@@ -100,34 +100,40 @@ class Matroid:
         """For all bases b1, b2 and x in b1 - b2, some y in b2 - b1 has
         b1 - x + y a basis.
 
-        Equivalently, every basis meets need(b1, x): x itself and the y that
-        complete b1 - x to a basis.  Bit j of column e is set when the j-th
-        basis holds e, so the OR of the columns of need(b1, x) is the set of
-        bases meeting it.  A failure is reported at the first b2 in the
-        order of `bases` and then the first x, as a pairwise scan finds it.
+        Equivalently, every basis meets need(b1, x), the y with b1 - x + y a
+        basis (x among them), which depends only on the stub b1 - x.  Bit j
+        of column e is set when the j-th basis holds e, so the OR of the
+        columns of need(stub) is the set of bases meeting it; one pass over
+        the (basis, element) pairs builds both, so the check costs |B|·r
+        ORs.  A failure is reported at the first b1 in the order of `bases`
+        with a failing stub, then the first b2 and x, as a pairwise scan
+        finds it.
         """
-        bases = self.bases
-        order = list(bases)
+        order = list(self.bases)
         cols = [0] * self.n
+        need: dict[int, int] = {}
         for j, b in enumerate(order):
+            bit = 1 << j
             for e in elements_of(b):
-                cols[e] |= 1 << j
+                cols[e] |= bit
+                stub = b & ~(1 << e)
+                need[stub] = need.get(stub, 0) | 1 << e
         every = (1 << len(order)) - 1
+        missed = {}
+        for stub, ys in need.items():
+            met = 0
+            for y in elements_of(ys):
+                met |= cols[y]
+            if met != every:
+                missed[stub] = every & ~met
+        if not missed:
+            return
         for b1 in order:
-            outside = elements_of(self.full & ~b1)
-            missed = []
-            anywhere = 0
-            for x in elements_of(b1):
-                stub = b1 & ~(1 << x)
-                met = cols[x]
-                for y in outside:
-                    if stub | 1 << y in bases:
-                        met |= cols[y]
-                missed.append((x, every & ~met))
-                anywhere |= every & ~met
-            if anywhere:
-                low = anywhere & -anywhere
-                x = next(x for x, miss in missed if miss & low)
+            misses = {x: missed.get(b1 & ~(1 << x), 0) for x in elements_of(b1)}
+            low = min((miss & -miss for miss in misses.values() if miss),
+                      default=0)
+            if low:
+                x = next(x for x, miss in misses.items() if miss & low)
                 raise PresentationError(
                     f"basis-exchange fails for {elements_of(b1)}, "
                     f"{elements_of(order[low.bit_length() - 1])} "

@@ -93,15 +93,20 @@ def slice_assemble(deck: Deck, k: int) -> GInvariant:
 def _copoint_catenaries(deck: Deck) -> list[tuple[CatenaryData, int, int]]:
     """Entry catenaries with multiplicities and implied copoint counts.
 
-    A size-grouped entry sums the invariants of several same-size copoints;
-    its coefficient total is that copoint count times s!, which recovers the
+    A copoint entry is one invariant, so its coefficients total s!.  A
+    size-grouped (h-sums) entry sums the invariants of several same-size
+    copoints; its total is that copoint count times s!, which recovers the
     count exactly.
     """
+    grouped = deck.role == "h-sums"
     cats = []
     for g, mult in deck.entries:
         c = catenary_from_g(g)
         total = g.total()
         fact = math.factorial(g.n)
+        if not grouped and total != fact:
+            raise ExactnessError(f"entry coefficient total {total} is not "
+                                 f"{g.n}!: not an invariant")
         if total == 0 or total % fact:
             raise ExactnessError(
                 f"entry coefficient total {total} is not a positive multiple "

@@ -190,6 +190,18 @@ class TestReconstruct:
         assert main(["reconstruct", "--deck", str(path), "--role", "rank-k"]) == 1
         assert capsys.readouterr().err == "error: empty deck\n"
 
+    def test_circuit_entry_that_is_no_invariant_is_exit_2(self, capsys,
+                                                          tmp_path):
+        # the dual entry totals 276010, not 1!: the deck stops there, before
+        # recover_n settles on n = 828,030 and rebuilds an invariant that big
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps({"role": "circuit", "entries": [
+            {"invariant": {"n": 1, "r": 0, "coeffs": {"0": 276010}},
+             "multiplicity": 3}]}))
+        assert main(["reconstruct", "--deck", str(path),
+                     "--role", "circuit"]) == 2
+        assert "not 1!: not an invariant" in capsys.readouterr().err
+
     def test_role_mismatch(self, capsys, tmp_path, named):
         path = tmp_path / "deck.json"
         path.write_text(canonical_dumps(

@@ -4,6 +4,7 @@ import itertools
 import math
 import random
 import time
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
@@ -231,6 +232,15 @@ class TestCatenary:
         if m.n <= 9:
             assert c == catenary_from_g(g_brute_force(m))
 
+    @pytest.mark.parametrize("m", [
+        uniform(0, 3),  # rank 0: the bottom flat is the top, key {3}
+        uniform(2, 4).add_loop().add_loop(),  # a_0 = 2
+        uniform(3, 3),  # every flag steps by one
+        from_graph([(0, 0), (0, 1), (1, 2), (2, 0), (2, 3), (3, 4), (4, 4)]),
+    ], ids=["U(0,3)", "U(2,4)+2 loops", "U(3,3)", "loops and bridges"])
+    def test_flag_walk_decodes_partial_sums(self, m):
+        assert _flag_walk(m) == catenary_from_g(g_brute_force(m))
+
     def test_coloops_are_not_walked(self):
         # K4 with a 40-edge path hung off a vertex: 40 coloops, which would
         # multiply the 15 flats of K4 into about 2^40 for the flag walk
@@ -365,6 +375,21 @@ class TestOracle:
         fig1 = load_data("fig1-m")
         assert g_brute_force(fig1).coeffs == {"111000": 648, "110100": 72}
         assert g_brute_force(uniform(0, 2)).coeffs == {"00": 2}
+
+    def test_subset_count_is_the_permutation_walk(self, corpus):
+        for name, m in corpus:
+            if m.n > 7:
+                continue
+            words = Counter()
+            for perm in itertools.permutations(range(m.n)):
+                mask, prev, chars = 0, 0, []
+                for e in perm:
+                    mask |= 1 << e
+                    cur = m.rank(mask)
+                    chars.append("1" if cur > prev else "0")
+                    prev = cur
+                words["".join(chars)] += 1
+            assert g_brute_force(m) == GInvariant(m.n, m.r, words), name
 
     def test_limit_enforced(self):
         with pytest.raises(ValueError):

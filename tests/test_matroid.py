@@ -504,6 +504,20 @@ class TestExchangeCheck:
             assert _outcome(lambda: from_bases(n, family, validate=True)) \
                 == _outcome(lambda: _pairwise_exchange(n, frozenset(family)))
 
+    @pytest.mark.parametrize("n, family, message", [
+        (6, [(0, 1, 2), (0, 1, 3), (3, 4, 5), (2, 4, 5), (0, 4, 5)],
+         "basis-exchange fails for [0, 1, 2], [0, 4, 5] at element 1"),
+        (7, [(0, 1, 2), (0, 3, 4), (1, 3, 5), (2, 4, 6), (5, 6, 0),
+             (1, 4, 6), (2, 3, 5)],
+         "basis-exchange fails for [0, 5, 6], [0, 1, 2] at element 5"),
+    ])
+    def test_pinned_failure_message(self, n, family, message):
+        # several stubs fail; the message names the first b1 in the order
+        # of the bases, then its first missed b2, then the first x
+        with pytest.raises(PresentationError) as exc:
+            from_bases(n, family, validate=True)
+        assert str(exc.value) == message
+
 
 def _independent(bases, x):
     return any(x & ~b == 0 for b in bases)

@@ -87,6 +87,14 @@ class TestRecoverN:
         with pytest.raises(ExactnessError):
             recover_n(Deck("copoint", ((g, 3),)))
 
+    def test_only_grouped_entries_may_be_sums(self, named):
+        # K4's h-sums entries total 3 * 2! and 4 * 3! (its 2- and 3-point
+        # lines); the same vectors as copoint entries are no invariants
+        grouped = size_grouped_copoint_deck(named["M(K4)"])
+        assert recover_n(grouped) == 6
+        with pytest.raises(ExactnessError, match="not an invariant"):
+            recover_n(Deck("copoint", grouped.entries))
+
     def test_corpus(self, corpus, cache):
         for name, m in corpus:
             if m.r < 2 or m.n > 6:
