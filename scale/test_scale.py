@@ -25,8 +25,7 @@ from gcat.serialization import configuration_from_json, configuration_to_json
 
 
 def complete(v):
-    return from_graph(list(itertools.combinations(range(v), 2)),
-                      validate=False)
+    return from_graph(list(itertools.combinations(range(v), 2)))
 
 
 def test_k9_flags_and_spanning_trees():

@@ -94,8 +94,7 @@ def _build_parser() -> argparse.ArgumentParser:
         description="G-invariant, catenary data, and Tutte polynomial of "
                     "explicitly presented matroids")
     top.add_argument("--oracle-limit", type=int, default=None,
-                     help="cap for the brute-force oracles "
-                          "(default 9; env GINV_ORACLE_LIMIT)")
+                     help="cap for the brute-force oracles (default 9)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary):

@@ -16,7 +16,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-import os
 from collections import Counter
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -24,17 +23,14 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ExactnessError
-from .matroid import Matroid, elements_of
+from .matroid import Matroid, _basis_scan, elements_of
 
 DEFAULT_ORACLE_LIMIT = 9
 
 
 def oracle_limit(explicit: int | None = None) -> int:
-    """Permutation/subset oracle cap: explicit arg, else env, else default."""
-    if explicit is not None:
-        return explicit
-    env = os.environ.get("GINV_ORACLE_LIMIT")
-    return int(env) if env else DEFAULT_ORACLE_LIMIT
+    """Permutation/subset oracle cap: the explicit arg, else the default."""
+    return DEFAULT_ORACLE_LIMIT if explicit is None else explicit
 
 
 # -- sequences and compositions ---------------------------------------------
@@ -401,11 +397,8 @@ def catenary_from_g(g: GInvariant) -> CatenaryData:
 # -- brute-force oracles -------------------------------------------------------
 
 def _rank_table(m: Matroid) -> list[int]:
-    bases = list(m.bases)
-    table = [0] * (1 << m.n)
-    for x in range(1, 1 << m.n):
-        table[x] = max((x & b).bit_count() for b in bases)
-    return table
+    """Rank of every subset by the scan of the bases, not the presentation."""
+    return list(map(_basis_scan(list(m.bases)), range(1 << m.n)))
 
 
 def g_brute_force(m: Matroid, limit: int | None = None) -> GInvariant:

@@ -10,10 +10,11 @@ a transform of its parents' rank, so it keeps them alive.  Closure, from
 which covers and flats are built, comes from the presentation where one
 supplies it: graph, uniform, paving, Dowling and cyclic-flat matroids, and a
 minor of any of these.  Every other matroid closes a set by one rank call
-per element outside it.  The bases are built only when read (exchange
-validation, equality, the top-symbol check).  Everything here is
-desk-scale and exact; these matroids double as ground-truth oracles for the
-invariant-level machinery.
+per element outside it.  Each presentation but a basis family is a matroid
+by construction, so only `from_bases` checks basis exchange.  The bases are
+built only when read (equality, the top-symbol check, an asked-for exchange
+check).  Everything here is desk-scale and exact; these matroids double as
+ground-truth oracles for the invariant-level machinery.
 """
 
 from __future__ import annotations
@@ -22,8 +23,8 @@ import itertools
 
 from .errors import PresentationError
 
-# Exchange-axiom validation is automatic up to this many elements; above it,
-# pass validate=True explicitly (|B|·r bitset ORs over the bases).
+# from_bases checks basis exchange by default up to this many elements; above
+# it, pass validate=True explicitly (|B|·r bitset ORs over the bases).
 VALIDATE_LIMIT = 12
 
 
@@ -66,8 +67,7 @@ class Matroid:
     __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
                  "_rank_cache", "_flats_by_rank", "_circuits", "_closure_cache")
 
-    def __init__(self, n: int, rank_of, *, closure_of=None,
-                 validate: bool | None = None):
+    def __init__(self, n: int, rank_of, *, closure_of=None):
         self.n = n
         self.full = (1 << n) - 1
         self._rank_of = rank_of
@@ -78,7 +78,6 @@ class Matroid:
         self._closure_cache = {}
         self._flats_by_rank = None
         self._circuits = None
-        self._validate(validate)
 
     @property
     def bases(self) -> frozenset[int]:
@@ -88,13 +87,6 @@ class Matroid:
                 b for b in map(mask_of, itertools.combinations(range(self.n), r))
                 if rank_of(b) == r)
         return self._bases
-
-    def _validate(self, validate: bool | None) -> "Matroid":
-        """Check basis exchange when asked to, and by default up to
-        VALIDATE_LIMIT elements."""
-        if validate or (validate is None and self.n <= VALIDATE_LIMIT):
-            self._check_exchange()
-        return self
 
     def _check_exchange(self):
         """For all bases b1, b2 and x in b1 - b2, some y in b2 - b1 has
@@ -300,7 +292,7 @@ class Matroid:
                 return out
 
         return Matroid(len(keep), lambda x: rank(lift(x)) - rc,
-                       closure_of=closure_of, validate=False)
+                       closure_of=closure_of)
 
     def restrict(self, x: int) -> "Matroid":
         return self.minor(delete=self.full & ~x)
@@ -314,8 +306,7 @@ class Matroid:
     def dual(self) -> "Matroid":
         """r*(X) = |X| - r + r(E - X)."""
         rank, r, full = self.rank, self.r, self.full
-        return Matroid(self.n, lambda x: x.bit_count() - r + rank(full & ~x),
-                       validate=False)
+        return Matroid(self.n, lambda x: x.bit_count() - r + rank(full & ~x))
 
     # -- unary constructions ----------------------------------------------
 
@@ -324,7 +315,7 @@ class Matroid:
         if self.r < 1:
             raise ValueError("cannot truncate a rank-0 matroid")
         rank, top = self.rank, self.r - 1
-        return Matroid(self.n, lambda x: min(rank(x), top), validate=False)
+        return Matroid(self.n, lambda x: min(rank(x), top))
 
     def lift(self) -> "Matroid":
         """The free lift: dual of the truncation of the dual."""
@@ -337,19 +328,18 @@ class Matroid:
         the rank of every set that does not span."""
         rank, r, full, new = self.rank, self.r, self.full, 1 << self.n
         return Matroid(self.n + 1, lambda x: (
-            min(rank(x & full) + 1, r) if x & new else rank(x)), validate=False)
+            min(rank(x & full) + 1, r) if x & new else rank(x)))
 
     def free_coextension(self) -> "Matroid":
         return self.dual().free_extension().dual()
 
     def add_coloop(self) -> "Matroid":
         rank, n, full = self.rank, self.n, self.full
-        return Matroid(n + 1, lambda x: rank(x & full) + (x >> n),
-                       validate=False)
+        return Matroid(n + 1, lambda x: rank(x & full) + (x >> n))
 
     def add_loop(self) -> "Matroid":
         rank, full = self.rank, self.full
-        return Matroid(self.n + 1, lambda x: rank(x & full), validate=False)
+        return Matroid(self.n + 1, lambda x: rank(x & full))
 
     def relax(self, x: int) -> "Matroid":
         """Relax a circuit-hyperplane: x becomes a basis."""
@@ -360,8 +350,7 @@ class Matroid:
                 self.rank(x & ~(1 << e)) == k - 1 for e in elements_of(x)):
             raise ValueError("relaxation target is not a circuit")
         rank, r = self.rank, self.r
-        return Matroid(self.n, lambda y: r if y == x else rank(y),
-                       validate=False)
+        return Matroid(self.n, lambda y: r if y == x else rank(y))
 
     # -- binary constructions ----------------------------------------------
 
@@ -369,8 +358,7 @@ class Matroid:
         """Disjoint union; other's elements are shifted up by self.n."""
         rank1, rank2, n1, full1 = self.rank, other.rank, self.n, self.full
         return Matroid(self.n + other.n,
-                       lambda x: rank1(x & full1) + rank2(x >> n1),
-                       validate=False)
+                       lambda x: rank1(x & full1) + rank2(x >> n1))
 
     def free_product(self, other: "Matroid") -> "Matroid":
         """Bases meet self's part independently and span other's part:
@@ -382,7 +370,7 @@ class Matroid:
             x2 = x >> n1
             return min(rank1(x & full1) + x2.bit_count(), r1 + rank2(x2))
 
-        return Matroid(self.n + other.n, rank_of, validate=False)
+        return Matroid(self.n + other.n, rank_of)
 
     # -- misc ---------------------------------------------------------------
 
@@ -399,19 +387,20 @@ class Matroid:
 
 # -- presentations ---------------------------------------------------------
 
-def uniform(r: int, n: int, **kw) -> Matroid:
+def uniform(r: int, n: int) -> Matroid:
+    """U(r, n): r(X) = min(|X|, r), a matroid by definition."""
     if not 0 <= r <= n:
         raise PresentationError(f"U({r},{n}) is not a matroid")
     full = (1 << n) - 1
     return Matroid(n, lambda x: min(x.bit_count(), r),
-                   closure_of=lambda x: x if x.bit_count() < r else full,
-                   validate=False)
+                   closure_of=lambda x: x if x.bit_count() < r else full)
 
 
-def from_graph(edges, **kw) -> Matroid:
+def from_graph(edges) -> Matroid:
     """Cycle matroid of a multigraph given as a list of (u, v) edges.
 
-    The rank of an edge set is the number of union-find merges it makes.
+    The rank of an edge set is the number of union-find merges it makes,
+    the size of its largest forest: the cycle matroid's rank, so a matroid.
     Its closure is every edge whose ends lie in one component: the loops,
     and each edge incident to two vertices of one merged component.
     """
@@ -461,17 +450,18 @@ def from_graph(edges, **kw) -> Matroid:
             seen[root] |= incident[v]
         return out
 
-    return Matroid(len(edges), rank_of, closure_of=closure_of, **kw)
+    return Matroid(len(edges), rank_of, closure_of=closure_of)
 
 
-def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
+def from_paving_copoints(n: int, r: int, copoints) -> Matroid:
     """Paving matroid with the given large copoints (size >= r).
 
     Copoints of size r-1 are implicit.  Two listed copoints may share at
     most r-2 elements, as hyperplanes of a paving matroid do; then each
-    (r-1)-subset lies in at most one listed copoint, and a set of at least
-    r elements has rank r-1 when it lies inside a listed copoint and r
-    otherwise.  So a set of at least r-1 elements closes to the listed
+    (r-1)-subset lies in exactly one copoint, listed or implicit, so the
+    copoints meet the hyperplane axioms and form a matroid.  A set of at
+    least r elements has rank r-1 when it lies inside a listed copoint and
+    r otherwise.  So a set of at least r-1 elements closes to the listed
     copoint holding it, if any; else to itself at r-1 elements, else to E.
     """
     if r < 1 or r > n:
@@ -506,19 +496,25 @@ def from_paving_copoints(n: int, r: int, copoints, **kw) -> Matroid:
                 return c
         return x if size == r - 1 else full
 
-    return Matroid(n, rank_of, closure_of=closure_of, **kw)
+    return Matroid(n, rank_of, closure_of=closure_of)
 
 
-def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
+def from_cyclic_flats(n: int, flats) -> Matroid:
     """Matroid defined by its cyclic flats with ranks.
 
     `flats` is a list of (elements, rank) pairs; the rank of any set X is
     min over listed pairs of rank(F) + |X - F|.  The list must contain the
     minimal cyclic flat (the loops, possibly the empty set) with rank 0.
     The min-formula is a matroid rank function exactly when it is
-    submodular on every pair of listed sets, which is checked.  An element
-    e outside X leaves that minimum unchanged exactly when some F attaining
-    it holds e, so cl(X) is X together with every such F.
+    submodular on every pair of listed sets, which is checked: r(0) = 0
+    makes every k >= 0; each term k + |X - F| is monotone and rises by at
+    most 1 per element, and so does the minimum.  If F and G attain r(X)
+    and r(Y), then r(X) + r(Y) = k_F + k_G + |X - F| + |Y - G|, which is at
+    least r(F|G) + r(F&G) + |(X|Y) - (F|G)| + |(X&Y) - (F&G)| by the pair
+    check and by counting each element, and so at least r(X|Y) + r(X&Y)
+    by the unit rise and monotonicity.  An element e outside X leaves that
+    minimum unchanged exactly when some F attaining it holds e, so cl(X) is
+    X together with every such F.
     """
     pairs = []
     full = (1 << n) - 1
@@ -552,7 +548,7 @@ def from_cyclic_flats(n: int, flats, **kw) -> Matroid:
             raise PresentationError(
                 f"ranks of {elements_of(f1)} and {elements_of(f2)} "
                 "are not submodular")
-    return Matroid(n, rank_of, closure_of=closure_of, **kw)
+    return Matroid(n, rank_of, closure_of=closure_of)
 
 
 def _check_group_table(table) -> list[list[int]]:
@@ -582,12 +578,13 @@ def _check_group_table(table) -> list[list[int]]:
     return t
 
 
-def dowling3(table, **kw) -> Matroid:
+def dowling3(table) -> Matroid:
     """Rank-3 Dowling matroid of the group given by its multiplication table.
 
     Elements: three joints followed by the three |G|-blocks of internal
     points, one block per pair of joints.  Built as a paving matroid from
-    its large lines.
+    its large lines; in a group table two of them share at most one point,
+    so they meet the hyperplane axioms as the paving builder argues.
     """
     t = _check_group_table(table)
     m = len(t)
@@ -601,12 +598,14 @@ def dowling3(table, **kw) -> Matroid:
     for a in range(m):
         for b in range(m):
             lines.append({base12 + a, base23 + b, base13 + t[a][b]})
-    return from_paving_copoints(3 + 3 * m, 3, lines, **kw)
+    return from_paving_copoints(3 + 3 * m, 3, lines)
 
 
 def from_bases(n: int, bases, *, validate: bool | None = None) -> Matroid:
     """The matroid of a basis family, kept as given; a set ranks as its
-    largest intersection with a basis."""
+    largest intersection with a basis.  Only this input can break basis
+    exchange, so it is checked when `validate` is true and, when it is
+    None, up to VALIDATE_LIMIT elements."""
     bases = frozenset(b if isinstance(b, int) else mask_of(b) for b in bases)
     if not bases:
         raise PresentationError("a matroid needs at least one basis")
@@ -615,28 +614,31 @@ def from_bases(n: int, bases, *, validate: bool | None = None) -> Matroid:
         raise PresentationError(f"bases of unequal sizes: {sorted(sizes)}")
     if any(b & ~((1 << n) - 1) for b in bases):
         raise PresentationError("basis uses elements outside the ground set")
-    m = Matroid(n, _basis_scan(bases), validate=False)
+    m = Matroid(n, _basis_scan(bases))
     m._bases = bases
-    return m._validate(validate)
+    if validate or (validate is None and n <= VALIDATE_LIMIT):
+        m._check_exchange()
+    return m
 
 
 # presentation kind -> (needs ground_set_size, builder(record, n, validate))
 _PRESENTATIONS = {
     "bases": (True, lambda p, n, v: from_bases(n, p["bases"], validate=v)),
-    "uniform": (True, lambda p, n, v: uniform(int(p["rank"]), n, validate=v)),
-    "graph": (False, lambda p, n, v: from_graph(p["edges"], validate=v)),
+    "uniform": (True, lambda p, n, v: uniform(int(p["rank"]), n)),
+    "graph": (False, lambda p, n, v: from_graph(p["edges"])),
     "paving_copoints": (True, lambda p, n, v: from_paving_copoints(
-        n, int(p["rank"]), p["copoints"], validate=v)),
+        n, int(p["rank"]), p["copoints"])),
     "cyclic_flats": (True, lambda p, n, v: from_cyclic_flats(
-        n, [(item["elements"], item["rank"]) for item in p["flats"]],
-        validate=v)),
-    "dowling3": (False, lambda p, n, v: dowling3(p["group_table"], validate=v)),
+        n, [(item["elements"], item["rank"]) for item in p["flats"]])),
+    "dowling3": (False, lambda p, n, v: dowling3(p["group_table"])),
 }
 
 
 def build_matroid(presentation: dict, n: int | None = None,
                   validate: bool | None = None) -> Matroid:
-    """Build a matroid from a presentation record (the JSON payload shape)."""
+    """Build a matroid from a presentation record (the JSON payload shape).
+    `validate` true checks basis exchange on any kind, false on none; None
+    leaves it to `from_bases`, the one builder whose input can fail it."""
     if not isinstance(presentation, dict) or "kind" not in presentation:
         raise PresentationError("presentation must be a dict with a 'kind'")
     kind = presentation["kind"]
@@ -647,8 +649,11 @@ def build_matroid(presentation: dict, n: int | None = None,
     if sized and n is None:
         raise PresentationError("ground_set_size is required")
     try:
-        return build(presentation, n, validate)
+        m = build(presentation, n, validate)
     except KeyError as exc:
         raise PresentationError(f"presentation is missing field {exc}") from exc
     except TypeError as exc:
         raise PresentationError(f"malformed presentation: {exc}") from exc
+    if validate and kind != "bases":  # from_bases has checked it
+        m._check_exchange()
+    return m

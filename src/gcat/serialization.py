@@ -30,6 +30,8 @@ def matroid_from_json(doc: dict) -> Matroid:
     if pres is None:
         raise PresentationError("matroid file needs a 'presentation'")
     validate = doc.get("validate")
+    if validate is not None and not isinstance(validate, bool):
+        raise PresentationError("'validate' must be true, false or null")
     return build_matroid(pres, n=n, validate=validate)
 
 

@@ -6,6 +6,7 @@ import pytest
 
 from gcat import g_invariant, uniform
 from gcat.cli import main
+from gcat.matroid import Matroid
 from gcat.reconstruction import copoint_deck, rank_deck
 from gcat.serialization import (canonical_dumps, deck_to_json,
                                 ginvariant_to_json)
@@ -43,6 +44,19 @@ class TestGinv:
         code, out = run(capsys, "ginv", path)
         assert code == 0
         assert json.loads(out)["coeffs"] == {"110": "6"}
+
+    def test_validate_true_checks_a_graph_once(self, capsys, tmp_path,
+                                               monkeypatch):
+        _, plain = run(capsys, "ginv", data("k4"))
+        calls = []
+        check = Matroid._check_exchange
+        monkeypatch.setattr(Matroid, "_check_exchange",
+                            lambda m: calls.append(m) or check(m))
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(
+            dict(json.loads(data("k4").read_text()), validate=True)))
+        code, out = run(capsys, "ginv", path)
+        assert (code, out, len(calls)) == (0, plain, 1)
 
     def test_determinism(self, capsys):
         _, first = run(capsys, "ginv", data("fig2-m1"))
@@ -257,6 +271,14 @@ class TestErrors:
         bad.write_text(json.dumps({"ground_set_size": 3, "presentation": {
             "kind": "bases", "bases": [[0], [0, 1]]}}))
         assert main(["ginv", str(bad)]) == 1
+
+    @pytest.mark.parametrize("flag", ["false", "true", 0, 1, []])
+    def test_validate_must_be_a_json_boolean(self, capsys, tmp_path, flag):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(dict(json.loads(data("k4").read_text()),
+                                       validate=flag)))
+        assert main(["ginv", str(bad)]) == 1
+        assert "'validate'" in capsys.readouterr().err
 
     def test_presentation_fields_of_the_wrong_type(self, capsys, tmp_path):
         docs = [

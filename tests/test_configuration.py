@@ -20,8 +20,7 @@ NOT_A_MATROID = Configuration((0, 3, 3, 5), (0, 1, 1, 2),
 
 
 def complete_graph(v):
-    return from_graph(list(itertools.combinations(range(v), 2)),
-                      validate=False)
+    return from_graph(list(itertools.combinations(range(v), 2)))
 
 
 def chain_config(labels) -> Configuration:

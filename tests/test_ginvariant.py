@@ -214,7 +214,7 @@ class TestCatenary:
     def test_k8_spanning_trees(self):
         # n = 28, r = 7: C(28, 7) = 1,184,040 edge subsets; none is built
         k8 = [(a, b) for a in range(8) for b in range(a + 1, 8)]
-        m = from_graph(k8, validate=False)
+        m = from_graph(k8)
         assert basis_count(catenary(m)) == 8 ** 6  # Cayley
         assert m._bases is None
         # the flats close by union-find: only the 28 coloop tests rank
@@ -245,7 +245,7 @@ class TestCatenary:
         # K4 with a 40-edge path hung off a vertex: 40 coloops, which would
         # multiply the 15 flats of K4 into about 2^40 for the flag walk
         path = [(3 + i, 4 + i) for i in range(40)]
-        m = from_graph(K4_EDGES + path, validate=False)
+        m = from_graph(K4_EDGES + path)
         t0 = time.perf_counter()
         c = catenary(m)
         assert time.perf_counter() - t0 < 1.0
@@ -394,13 +394,6 @@ class TestOracle:
     def test_limit_enforced(self):
         with pytest.raises(ValueError):
             g_brute_force(uniform(2, 6), limit=5)
-
-    def test_limit_from_env(self, monkeypatch):
-        monkeypatch.setenv("GINV_ORACLE_LIMIT", "3")
-        with pytest.raises(ValueError):
-            g_brute_force(uniform(2, 4))
-        monkeypatch.setenv("GINV_ORACLE_LIMIT", "4")
-        assert g_brute_force(uniform(2, 4)).total() == 24
 
     def test_corpus_oracle_equality(self, corpus, cache):
         for name, m in corpus:

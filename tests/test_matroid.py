@@ -227,7 +227,7 @@ class TestMinorsAndDual:
         # ground set and the empty set
         cycle = [(i, (i + 1) % 7) for i in range(7)]
         path = [(6 + i, 7 + i) for i in range(6)]
-        m = from_graph(cycle + path, validate=False)
+        m = from_graph(cycle + path)
         assert m.n == 13
         catenary(m)
         assert m._closure_cache == {}
@@ -445,6 +445,43 @@ class TestClosureOracle:
     def test_accepted_cyclic_flat_lists(self, m):
         if m is not None:
             self._check(m)
+
+
+class TestMatroidByConstruction:
+    """Only `from_bases` checks exchange when it builds; every other
+    presentation is a matroid by construction, checked here."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(10))
+    def test_presentations_pass_exchange(self, m):
+        assert m._bases is None
+        m._check_exchange()
+
+    @settings(max_examples=200, deadline=None)
+    @given(_cyclic_flat_lists())
+    def test_accepted_cyclic_flat_lists_pass_exchange(self, m):
+        if m is not None:
+            m._check_exchange()
+
+    @pytest.mark.parametrize("build", [
+        lambda: from_graph(K4_EDGES),
+        lambda: load_data("fig1-m"),
+        lambda: dowling3([[0, 1], [1, 0]]),
+        lambda: from_cyclic_flats(6, [([], 0), ([0, 1, 2], 1),
+                                      ([0, 1, 2, 3, 4], 2), (range(6), 3)]),
+    ], ids=["graph", "paving", "dowling", "cyclic flats"])
+    def test_catenary_builds_no_bases(self, build):
+        m = build()
+        catenary(m)
+        assert m._bases is None
+
+    def test_only_from_bases_takes_validate(self):
+        for build in (lambda: uniform(2, 4, validate=True),
+                      lambda: from_graph(K4_EDGES, validate=True),
+                      lambda: dowling3([[0]], validate=True)):
+            with pytest.raises(TypeError):
+                build()
+        from_bases(4, [0b0011, 0b1100], validate=False)  # not a matroid
 
 
 def _pairwise_exchange(n, bases):
