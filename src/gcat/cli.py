@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import sys
 
 from . import constructions as cons
@@ -21,7 +20,8 @@ from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
 from .ginvariant import (GInvariant, catenary, catenary_from_g,
-                         g_from_catenary, g_invariant, tutte_from_g)
+                         g_from_catenary, g_invariant, invariant_catenary,
+                         tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
@@ -70,17 +70,57 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _load_ginvariant(path: str):
+def _load_ginvariant(path: str) -> GInvariant:
     """A matroid file or a G-invariant file, as an invariant."""
     doc = _load_json(path)
     if "coeffs" not in doc:
         return g_invariant(ser.matroid_from_json(doc))
     g = ser.ginvariant_from_json(doc)
-    # an empty vector is never an invariant; a nonempty one bounds n
-    if not g.coeffs or g.total() != math.factorial(g.n):
-        raise ExactnessError(f"coefficients sum to {g.total()}, not {g.n}!")
-    catenary_from_g(g)  # raises unless the gamma coordinates are counts
+    invariant_catenary(g)
     return g
+
+
+def _load_matroid(path: str):
+    return ser.matroid_from_json(_load_json(path))
+
+
+def _params(g: GInvariant, args) -> dict:
+    c = catenary_from_g(g)
+    if args.flats:
+        return {"flats": str(params.flat_count(c, *args.flats))}
+    if args.coloops:
+        return {"flats_with_coloops":
+                str(params.flat_count_coloops(c, *args.coloops))}
+    if args.circuits is not None:
+        return {"circuits":
+                str(params.family_counts(g, "circuit", args.circuits))}
+    return {"has_spanning_circuit": params.has_spanning_circuit(g)}
+
+
+# one-file command -> (summary, loader of FILE, payload of the loaded value
+# and the parsed arguments)
+FILE_COMMANDS = {
+    "ginv": ("G-invariant of a matroid file", _load_ginvariant,
+             lambda g, args: ser.catenary_to_json(catenary_from_g(g))
+             if args.basis == "gamma" else ser.ginvariant_to_json(g)),
+    "catenary": ("catenary data of a matroid file", _load_matroid,
+                 lambda m, args: ser.catenary_to_json(catenary(m))),
+    "tutte": ("Tutte polynomial of a matroid file", _load_ginvariant,
+              lambda g, args: ser.tutte_to_json(tutte_from_g(g))),
+    "params": ("derived parameters of a matroid file", _load_ginvariant,
+               _params),
+    "config": ("configuration of a matroid file", _load_matroid,
+               lambda m, args: ser.configuration_to_json(configuration_of(m))),
+    "config-catenary": ("catenary data from a configuration file",
+                        lambda path: ser.configuration_from_json(
+                            _load_json(path)),
+                        lambda conf, args: ser.catenary_to_json(
+                            catenary_from_config(conf))),
+    "detect-freeproduct": (
+        "free-product detection from a matroid or G-invariant file",
+        _load_ginvariant,
+        lambda g, args: ser.report_to_json(detect_free_product(g))),
+}
 
 
 def _emit(payload) -> int:
@@ -102,19 +142,11 @@ def _build_parser() -> argparse.ArgumentParser:
         p.set_defaults(run=run)
         return p
 
-    p = command("ginv", _ginv, "G-invariant of a matroid file")
-    p.add_argument("file")
-    p.add_argument("--basis", choices=["symbol", "gamma"], default="symbol")
-
-    p = command("catenary", _catenary, "catenary data of a matroid file")
-    p.add_argument("file")
-
-    p = command("tutte", _tutte, "Tutte polynomial of a matroid file")
-    p.add_argument("file")
-
-    p = command("params", _params, "derived parameters of a matroid file")
-    p.add_argument("file")
-    grp = p.add_mutually_exclusive_group(required=True)
+    for name, (summary, _, _) in FILE_COMMANDS.items():
+        command(name, _run_file, summary).add_argument("file")
+    sub.choices["ginv"].add_argument(
+        "--basis", choices=["symbol", "gamma"], default="symbol")
+    grp = sub.choices["params"].add_mutually_exclusive_group(required=True)
     grp.add_argument("--flats", nargs=2, type=int, metavar=("K", "S"))
     grp.add_argument("--coloops", nargs=3, type=int, metavar=("K", "S", "C"))
     grp.add_argument("--circuits", type=int, metavar="S")
@@ -124,17 +156,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("name", choices=list(OPS))
     p.add_argument("files", nargs="+")
     p.add_argument("--q", type=int, default=None, help="q for the q-cone")
-
-    p = command("config", _config, "configuration of a matroid file")
-    p.add_argument("file")
-
-    p = command("config-catenary", _config_catenary,
-                "catenary data from a configuration file")
-    p.add_argument("file")
-
-    p = command("detect-freeproduct", _detect_freeproduct,
-                "free-product detection from a matroid or G-invariant file")
-    p.add_argument("file")
 
     p = command("reconstruct", _reconstruct,
                 "rebuild a G-invariant from a deck")
@@ -147,37 +168,9 @@ def _build_parser() -> argparse.ArgumentParser:
     return top
 
 
-def _ginv(args) -> int:
-    g = _load_ginvariant(args.file)
-    if args.basis == "gamma":
-        return _emit(ser.catenary_to_json(catenary_from_g(g)))
-    return _emit(ser.ginvariant_to_json(g))
-
-
-def _catenary(args) -> int:
-    m = ser.matroid_from_json(_load_json(args.file))
-    return _emit(ser.catenary_to_json(catenary(m)))
-
-
-def _tutte(args) -> int:
-    g = _load_ginvariant(args.file)
-    return _emit(ser.tutte_to_json(tutte_from_g(g)))
-
-
-def _params(args) -> int:
-    g = _load_ginvariant(args.file)
-    c = catenary_from_g(g)
-    if args.flats:
-        k, s = args.flats
-        return _emit({"flats": str(params.flat_count(c, k, s))})
-    if args.coloops:
-        k, s, cnum = args.coloops
-        return _emit({"flats_with_coloops":
-                      str(params.flat_count_coloops(c, k, s, cnum))})
-    if args.circuits is not None:
-        return _emit({"circuits":
-                      str(params.family_counts(g, "circuit", args.circuits))})
-    return _emit({"has_spanning_circuit": params.has_spanning_circuit(g)})
+def _run_file(args) -> int:
+    _, load, payload = FILE_COMMANDS[args.command]
+    return _emit(payload(load(args.file), args))
 
 
 def _op(args) -> int:
@@ -189,21 +182,6 @@ def _op(args) -> int:
     gs = [_load_ginvariant(path) for path in args.files]
     out = construction(*gs, *(getattr(args, opt) for opt in options))
     return _emit(ser.ginvariant_to_json(out))
-
-
-def _config(args) -> int:
-    m = ser.matroid_from_json(_load_json(args.file))
-    return _emit(ser.configuration_to_json(configuration_of(m)))
-
-
-def _config_catenary(args) -> int:
-    conf = ser.configuration_from_json(_load_json(args.file))
-    return _emit(ser.catenary_to_json(catenary_from_config(conf)))
-
-
-def _detect_freeproduct(args) -> int:
-    g = _load_ginvariant(args.file)
-    return _emit(ser.report_to_json(detect_free_product(g)))
 
 
 def _reconstruct(args) -> int:
@@ -226,8 +204,7 @@ def _verify(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
         return args.run(args)
     except ExactnessError as exc:

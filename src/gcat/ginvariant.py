@@ -394,6 +394,31 @@ def catenary_from_g(g: GInvariant) -> CatenaryData:
     return CatenaryData(g.n, g.r, counts)
 
 
+def invariant_copies(g: GInvariant, copies: int | None = 1) -> int:
+    """How many matroid invariants g sums, each totalling n! orderings.
+
+    Raises ExactnessError unless that is `copies`, or with `copies=None`
+    any positive number (a size-grouped deck entry); an empty g sums none.
+    """
+    found, rest = divmod(g.total(), math.factorial(g.n))
+    if rest or found < 1 or copies not in (None, found):
+        want = ("a positive multiple of " if copies is None
+                else "" if copies == 1 else f"{copies} * ") + f"{g.n}!"
+        raise ExactnessError(
+            f"coefficients sum to {g.total()}, not {want}: not an invariant")
+    return found
+
+
+def invariant_catenary(g: GInvariant, copies: int | None = 1) -> CatenaryData:
+    """Catenary data of g, which must sum `copies` matroid invariants: the
+    check every invariant from outside passes.  The total goes first, being
+    one pass over g where the solve may touch the whole dominance up-set;
+    the solve then raises unless the gamma coordinates are nonnegative ints.
+    """
+    invariant_copies(g, copies)
+    return catenary_from_g(g)
+
+
 # -- brute-force oracles -------------------------------------------------------
 
 def _rank_table(m: Matroid) -> list[int]:

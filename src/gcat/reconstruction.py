@@ -18,7 +18,8 @@ from fractions import Fraction
 from .constructions import g_dual
 from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
-                         g_from_catenary, g_invariant, gamma_one)
+                         g_from_catenary, g_invariant, gamma_one,
+                         invariant_catenary, invariant_copies)
 from .matroid import Matroid
 
 
@@ -75,6 +76,13 @@ def _deck_sum(entries, solve) -> CatenaryData:
     return CatenaryData(shape[0], shape[1], total)
 
 
+def _rebuild(c: CatenaryData) -> GInvariant:
+    """The invariant of summed deck counts, which must total n! orderings."""
+    g = g_from_catenary(c)
+    invariant_copies(g)
+    return g
+
+
 def slice_assemble(deck: Deck, k: int) -> GInvariant:
     """Reassemble the invariant from the rank-k deck of (M|X, M/X) pairs."""
     if deck.role != "rank-k":
@@ -85,33 +93,20 @@ def slice_assemble(deck: Deck, k: int) -> GInvariant:
         if g_rest.r != k:
             raise ValueError(
                 f"deck entry has restriction rank {g_rest.r}, expected {k}")
-        return circle_product(catenary_from_g(g_rest), catenary_from_g(g_contr))
+        return circle_product(invariant_catenary(g_rest),
+                              invariant_catenary(g_contr))
 
-    return g_from_catenary(_deck_sum(deck.entries, solve))
+    return _rebuild(_deck_sum(deck.entries, solve))
 
 
 def _copoint_catenaries(deck: Deck) -> list[tuple[CatenaryData, int, int]]:
-    """Entry catenaries with multiplicities and implied copoint counts.
-
-    A copoint entry is one invariant, so its coefficients total s!.  A
-    size-grouped (h-sums) entry sums the invariants of several same-size
-    copoints; its total is that copoint count times s!, which recovers the
-    count exactly.
-    """
-    grouped = deck.role == "h-sums"
+    """Entry catenaries with multiplicities and copoint counts: an h-sums
+    entry sums the invariants of all copoints of its size."""
+    copies = None if deck.role == "h-sums" else 1
     cats = []
     for g, mult in deck.entries:
-        c = catenary_from_g(g)
-        total = g.total()
-        fact = math.factorial(g.n)
-        if not grouped and total != fact:
-            raise ExactnessError(f"entry coefficient total {total} is not "
-                                 f"{g.n}!: not an invariant")
-        if total == 0 or total % fact:
-            raise ExactnessError(
-                f"entry coefficient total {total} is not a positive multiple "
-                f"of {g.n}!: not a sum of invariants")
-        cats.append((c, mult, total // fact))
+        count = invariant_copies(g, copies)
+        cats.append((catenary_from_g(g), mult, count))
     if not cats:
         raise ValueError("empty deck")
     ranks = {c.r for c, _, _ in cats}
@@ -129,7 +124,11 @@ def recover_n(deck: Deck) -> int:
     equals 1 exactly at the true ground-set size.  Each evaluation costs an
     n!, so the search skips the n that a lower bound already puts above 1.
     """
-    cats = _copoint_catenaries(deck)
+    return _recover_n(_copoint_catenaries(deck))
+
+
+def _recover_n(cats: list[tuple[CatenaryData, int, int]]) -> int:
+    """`recover_n` on the solved entries of `_copoint_catenaries`."""
     entry_rank = cats[0][0].r
     if entry_rank < 1:
         raise ExactnessError(
@@ -174,7 +173,7 @@ def reconstruct_from_copoint_deck(deck: Deck) -> GInvariant:
     if deck.role not in {"copoint", "h-sums"}:
         raise ValueError("copoint reconstruction needs a copoint or h-sums deck")
     cats = _copoint_catenaries(deck)
-    n = recover_n(deck)
+    n = _recover_n(cats)
     r = cats[0][0].r + 1
     loopsets = {c.loops() for c, _, _ in cats}
     if len(loopsets) != 1:
@@ -209,12 +208,12 @@ def girth_deck_reconstruct(deck: Deck, g: int, n: int) -> GInvariant:
     contractions by its rank-g flats (all of which are g-element independent
     flats, restricting to free matroids).
     """
-    summed = _deck_sum(deck.entries, catenary_from_g)
+    summed = _deck_sum(deck.entries, invariant_catenary)
     if summed.n + g != n:
         raise ValueError(
             f"entries of size {summed.n} with g={g} do not fit n={n}")
     prefix = CatenaryData(g, g, {(0,) + (1,) * g: math.factorial(g)})
-    return g_from_catenary(circle_product(prefix, summed))
+    return _rebuild(circle_product(prefix, summed))
 
 
 # -- deck extraction from explicit matroids -------------------------------------

@@ -107,8 +107,6 @@ def deck_to_json(d: Deck) -> dict:
 def deck_from_json(doc: dict) -> Deck:
     try:
         role = doc["role"]
-        if role == "rank-k-pairs":
-            role = "rank-k"
         entries = []
         for item in doc["entries"]:
             mult = int(item.get("multiplicity", 1))

@@ -4,13 +4,13 @@ import json
 
 import pytest
 
-from gcat import g_invariant, uniform
+from gcat import from_graph, g_invariant, uniform
 from gcat.cli import main
 from gcat.matroid import Matroid
 from gcat.reconstruction import copoint_deck, rank_deck
 from gcat.serialization import (canonical_dumps, deck_to_json,
                                 ginvariant_to_json)
-from conftest import DATA
+from conftest import DATA, K4_EDGES
 
 
 def run(capsys, *argv):
@@ -21,6 +21,12 @@ def run(capsys, *argv):
 
 def data(name):
     return DATA / f"{name}.json"
+
+
+def _doubled(doc):
+    """An invariant payload with every coefficient doubled."""
+    return dict(doc, coeffs={k: str(2 * int(v))
+                             for k, v in doc["coeffs"].items()})
 
 
 class TestGinv:
@@ -215,6 +221,38 @@ class TestReconstruct:
         assert main(["reconstruct", "--deck", str(path),
                      "--role", "circuit"]) == 2
         assert "not 1!: not an invariant" in capsys.readouterr().err
+
+    # U(1,2)'s rank-1 deck with its contraction doubled rebuilt {"10": "4"};
+    # K4's with one more copy of an entry rebuilt a vector totalling 840.
+    # K4's one entry (U(1,1), M(K4)/e) x 6 with the contraction doubled and
+    # the multiplicity halved would rebuild G(K4), yet the entry is no pair
+    # of invariants
+    @pytest.mark.parametrize("m, edit", [
+        (uniform(1, 2), lambda entry: entry.update(
+            contraction=_doubled(entry["contraction"]))),
+        (from_graph(K4_EDGES), lambda entry: entry.update(
+            multiplicity=entry["multiplicity"] + 1)),
+        (from_graph(K4_EDGES), lambda entry: entry.update(
+            multiplicity=3, contraction=_doubled(entry["contraction"])))],
+        ids=["doubled-contraction", "extra-copy", "doubled-half-as-often"])
+    def test_rank_k_deck_of_no_invariant_is_exit_2(self, capsys, tmp_path,
+                                                   m, edit):
+        doc = deck_to_json(rank_deck(m, 1))
+        edit(doc["entries"][0])
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps(doc))
+        assert main(["reconstruct", "--deck", str(path),
+                     "--role", "rank-k"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and "not an invariant" in out.err
+
+    def test_rank_k_pairs_is_no_role(self, capsys, tmp_path, named):
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps(dict(
+            deck_to_json(rank_deck(named["M(K4)"], 2)), role="rank-k-pairs")))
+        assert main(["reconstruct", "--deck", str(path),
+                     "--role", "rank-k"]) == 1
+        assert capsys.readouterr().err.startswith("error:")
 
     def test_role_mismatch(self, capsys, tmp_path, named):
         path = tmp_path / "deck.json"

@@ -3,7 +3,8 @@
 Every command runs in-process through `cli.main` on G-invariant payloads
 (n <= 7) and on copoint, h-sums, circuit and rank-k decks, each mutated at
 a random place of its JSON tree.  A run must exit 0, 1 or 2, and every
-exit-0 output must load back through its `serialization` loader.
+exit-0 output must load back through its `serialization` loader; a rebuilt
+invariant must also pass the invariant check.
 """
 
 import contextlib
@@ -18,6 +19,7 @@ from hypothesis import strategies as st
 from gcat import (circuit_deck, copoint_deck, from_graph, g_invariant,
                   rank_deck, size_grouped_copoint_deck, uniform)
 from gcat.cli import main
+from gcat.ginvariant import invariant_catenary
 from gcat.serialization import (catenary_from_json, deck_to_json,
                                 ginvariant_from_json, ginvariant_to_json)
 from conftest import K4_EDGES, BOWTIE_EDGES, load_data
@@ -123,7 +125,7 @@ def _check_output(command, text):
             ginvariant_from_json(factor["left"])
             ginvariant_from_json(factor["right"])
     else:
-        ginvariant_from_json(doc)
+        invariant_catenary(ginvariant_from_json(doc))
 
 
 def _run(tmp, payload, command, args):

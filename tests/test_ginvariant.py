@@ -17,7 +17,8 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   gamma_one,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
-from gcat.ginvariant import _flag_walk, gamma_coeffs
+from gcat.ginvariant import (_flag_walk, gamma_coeffs, invariant_catenary,
+                             invariant_copies)
 from conftest import K4_EDGES, load_data, presentations
 
 
@@ -367,6 +368,39 @@ class TestConversions:
             g = g_from_catenary(CatenaryData(3, 2, {(0, 1, 2): 1}))
             bad = GInvariant(3, 2, {"110": g["110"] - 2, "101": 2})
             catenary_from_g(bad)
+
+
+class TestInvariantCatenary:
+    def test_accepts_the_corpus(self, corpus, cache):
+        for name, m in corpus:
+            g = cache.g(name, m)
+            assert invariant_copies(g) == 1, name
+            assert invariant_catenary(g) == cache.cat(name, m), name
+
+    def test_copies_none_accepts_a_sum_of_invariants(self, named, cache):
+        # fig2-M1 and fig2-M2 share the shape (n, r); their sum totals 2 n!
+        names = ("fig2-M1", "fig2-M2")
+        g1, g2 = (cache.g(k, named[k]) for k in names)
+        c1, c2 = (cache.cat(k, named[k]) for k in names)
+        both = GInvariant(g1.n, g1.r, Counter(g1.coeffs) + Counter(g2.coeffs))
+        assert invariant_copies(both, None) == 2
+        assert invariant_catenary(both, None) == CatenaryData(
+            g1.n, g1.r, Counter(c1.counts) + Counter(c2.counts))
+        assert invariant_catenary(both, 2) == invariant_catenary(both, None)
+        with pytest.raises(ExactnessError, match=f"not {g1.n}!: not an inv"):
+            invariant_catenary(both)
+
+    # an empty vector sums no invariant; a third of G(U(2,3)) solves to one
+    # flag but totals 2, no multiple of 3!; the last totals 2! but its gamma
+    # coordinate at (1, 1) is negative
+    @pytest.mark.parametrize("g", [
+        GInvariant(2, 1, {}), GInvariant(3, 2, {"110": 2}),
+        GInvariant(2, 1, {"01": 2})],
+        ids=["empty", "wrong-total", "negative-gamma"])
+    @pytest.mark.parametrize("copies", [1, None])
+    def test_rejects(self, g, copies):
+        with pytest.raises(ExactnessError):
+            invariant_catenary(g, copies)
 
 
 class TestOracle:

@@ -5,7 +5,7 @@ import math
 import pytest
 
 import gcat.reconstruction
-from gcat import (CatenaryData, Deck, ExactnessError,
+from gcat import (CatenaryData, Deck, ExactnessError, GInvariant,
                   catenary, circle_product, circuit_deck,
                   circuit_deck_reconstruct, copoint_deck,
                   g_invariant, gamma_one, girth_deck, girth_deck_reconstruct,
@@ -186,6 +186,10 @@ class TestCircuitDeck:
             circuit_deck_reconstruct(circuit_deck(uniform(2, 3)))
 
 
+def _doubled(g):
+    return GInvariant(g.n, g.r, {k: 2 * v for k, v in g.coeffs.items()})
+
+
 class TestGirthDeck:
     def test_u23(self):
         deck = girth_deck(uniform(2, 3), 1)
@@ -212,6 +216,19 @@ class TestGirthDeck:
         deck = girth_deck(uniform(2, 3), 1)
         with pytest.raises(ValueError):
             girth_deck_reconstruct(deck, 1, 5)
+
+    # K4's deck is one entry M(K4)/e x 6.  Doubled, it totals 2 * 5!; one
+    # more copy rebuilds a vector totalling 840, not 6!; doubled and half as
+    # often it would rebuild G(K4) from an entry that is no invariant
+    @pytest.mark.parametrize("edit", [
+        lambda g, mult: (_doubled(g), mult), lambda g, mult: (g, mult + 1),
+        lambda g, mult: (_doubled(g), mult // 2)],
+        ids=["doubled", "extra-copy", "doubled-half-as-often"])
+    def test_deck_of_no_invariant_rejected(self, named, edit):
+        deck = girth_deck(named["M(K4)"], 1)
+        entries = (edit(*deck.entries[0]),) + deck.entries[1:]
+        with pytest.raises(ExactnessError, match="not an invariant"):
+            girth_deck_reconstruct(Deck(deck.role, entries), 1, 6)
 
 
 class TestDeckType:

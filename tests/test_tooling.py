@@ -1,9 +1,12 @@
-"""The demos run clean, and the benchmark's tracer finds every layer."""
+"""The demos run clean, the benchmark's tracer finds every layer, and the
+README documents every CLI command."""
 
+import argparse
 import importlib
 import importlib.util
 import os
 import pkgutil
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -11,6 +14,7 @@ from pathlib import Path
 import pytest
 
 import gcat
+from gcat.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
@@ -40,3 +44,12 @@ def test_tracer_finds_every_traced_function():
         assert tracer.missing == []
     finally:
         tracer.uninstall()
+
+
+def test_readme_lists_every_cli_command():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    block = readme.split("Commands:\n\n```sh\n", 1)[1].split("```", 1)[0]
+    documented = set(re.findall(r"^gcat ([\w-]+)", block, re.MULTILINE))
+    sub, = (action for action in _build_parser()._actions
+            if isinstance(action, argparse._SubParsersAction))
+    assert documented == set(sub.choices)
