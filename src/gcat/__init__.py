@@ -15,8 +15,7 @@ from .configuration import (Configuration, basis_count_config, canonical_key,
                             catenary_from_config, config_minor,
                             config_truncate, configuration_of,
                             independent_copoint_count)
-from .constructions import (cat_add_loops, cat_direct_sum, cat_qcone,
-                            cat_strip_loops, dc_sum_check,
+from .constructions import (cat_direct_sum, cat_qcone,
                             free_product_rank_sequence, g_add_coloop,
                             g_add_loop, g_dual, g_free_coextension,
                             g_free_extension, g_free_product, g_lift,
@@ -39,7 +38,7 @@ from .reconstruction import (Deck, circle_product, circuit_deck,
                              girth_deck, girth_deck_reconstruct, rank_deck,
                              reconstruct_from_copoint_deck, recover_n,
                              size_grouped_copoint_deck, slice_assemble)
-from .verify import run_verify
+from .verify import dc_sum_check, run_verify
 
 __version__ = "0.1.0"
 

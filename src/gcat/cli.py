@@ -19,9 +19,8 @@ from . import serialization as ser
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
-from .ginvariant import (GInvariant, catenary, catenary_from_g,
-                         g_from_catenary, g_invariant, invariant_catenary,
-                         tutte_from_g)
+from .ginvariant import (CatenaryData, GInvariant, catenary, catenary_from_g,
+                         g_from_catenary, invariant_catenary, tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
@@ -70,22 +69,23 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _load_ginvariant(path: str) -> GInvariant:
-    """A matroid file or a G-invariant file, as an invariant."""
+def _load_ginvariant(path: str) -> tuple[GInvariant, CatenaryData]:
+    """A matroid or G-invariant file, as an invariant with its catenary
+    data: the flag walk, or the solve that checks an invariant file."""
     doc = _load_json(path)
     if "coeffs" not in doc:
-        return g_invariant(ser.matroid_from_json(doc))
+        c = catenary(ser.matroid_from_json(doc))
+        return g_from_catenary(c), c
     g = ser.ginvariant_from_json(doc)
-    invariant_catenary(g)
-    return g
+    return g, invariant_catenary(g)
 
 
 def _load_matroid(path: str):
     return ser.matroid_from_json(_load_json(path))
 
 
-def _params(g: GInvariant, args) -> dict:
-    c = catenary_from_g(g)
+def _params(loaded, args) -> dict:
+    g, c = loaded
     if args.flats:
         return {"flats": str(params.flat_count(c, *args.flats))}
     if args.coloops:
@@ -101,12 +101,12 @@ def _params(g: GInvariant, args) -> dict:
 # and the parsed arguments)
 FILE_COMMANDS = {
     "ginv": ("G-invariant of a matroid file", _load_ginvariant,
-             lambda g, args: ser.catenary_to_json(catenary_from_g(g))
-             if args.basis == "gamma" else ser.ginvariant_to_json(g)),
+             lambda gc, args: ser.catenary_to_json(gc[1])
+             if args.basis == "gamma" else ser.ginvariant_to_json(gc[0])),
     "catenary": ("catenary data of a matroid file", _load_matroid,
                  lambda m, args: ser.catenary_to_json(catenary(m))),
     "tutte": ("Tutte polynomial of a matroid file", _load_ginvariant,
-              lambda g, args: ser.tutte_to_json(tutte_from_g(g))),
+              lambda gc, args: ser.tutte_to_json(tutte_from_g(gc[0]))),
     "params": ("derived parameters of a matroid file", _load_ginvariant,
                _params),
     "config": ("configuration of a matroid file", _load_matroid,
@@ -119,7 +119,7 @@ FILE_COMMANDS = {
     "detect-freeproduct": (
         "free-product detection from a matroid or G-invariant file",
         _load_ginvariant,
-        lambda g, args: ser.report_to_json(detect_free_product(g))),
+        lambda gc, args: ser.report_to_json(detect_free_product(gc[0]))),
 }
 
 
@@ -179,7 +179,7 @@ def _op(args) -> int:
         raise PresentationError(
             f"{args.name} takes {arity} invariant file(s), "
             f"got {len(args.files)}")
-    gs = [_load_ginvariant(path) for path in args.files]
+    gs = [_load_ginvariant(path)[0] for path in args.files]
     out = construction(*gs, *(getattr(args, opt) for opt in options))
     return _emit(ser.ginvariant_to_json(out))
 

@@ -2,8 +2,9 @@
 
 Every operation here works purely on invariant vectors, never touching a
 matroid; the test suite validates each one against matroid-level composition.
-Symbol-basis rewrites accumulate coefficients; gamma-basis (catenary) forms
-are used where they are simpler, with cross-checks where both exist.
+Each identity has one path: symbol-basis rewrites accumulate coefficients,
+and gamma-basis (catenary) forms are used where they are simpler.  The
+catenary-level direct sum, loops included, is `cat_direct_sum`.
 """
 
 from __future__ import annotations
@@ -12,8 +13,7 @@ import math
 
 from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum,
-                         catenary_from_g, g_from_catenary, g_invariant)
-from .matroid import Matroid
+                         catenary_from_g, g_from_catenary)
 
 
 def _accumulate(pairs) -> dict:
@@ -98,26 +98,6 @@ def g_add_loop(g: GInvariant) -> GInvariant:
     coeffs = _accumulate((s, c) for key, c in g.coeffs.items()
                          for s in _insertions(key, "0"))
     return GInvariant(g.n + 1, g.r, coeffs)
-
-
-def cat_strip_loops(c: CatenaryData, h: int) -> CatenaryData:
-    """Drop h loops: rewrite the leading part h of every key to 0."""
-    counts = {}
-    for comp, cnt in c.counts.items():
-        if comp[0] != h:
-            raise ValueError(f"key {comp} does not start with {h} loops")
-        counts[(0,) + comp[1:]] = cnt
-    return CatenaryData(c.n - h, c.r, counts)
-
-
-def cat_add_loops(c: CatenaryData, h: int) -> CatenaryData:
-    """Inverse of cat_strip_loops: direct sum with h loops, loopless input."""
-    counts = {}
-    for comp, cnt in c.counts.items():
-        if comp[0] != 0:
-            raise ValueError(f"key {comp} is not loopless")
-        counts[(h,) + comp[1:]] = cnt
-    return CatenaryData(c.n + h, c.r, counts)
 
 
 # -- free extension and coextension ----------------------------------------------
@@ -253,9 +233,12 @@ def g_relax(g: GInvariant) -> GInvariant:
     """Relax one circuit-hyperplane at the invariant level.
 
     Adds r!(n-r)! to the top symbol 1^r 0^(n-r) and subtracts the same from
-    1^(r-1) 0 1 0^(n-r-1); a negative result means the input had no
-    circuit-hyperplane to relax.  For rank >= 2 the same update is applied
-    in the gamma basis and the two answers are checked against each other.
+    1^(r-1) 0 1 0^(n-r-1), which in the gamma basis is r! flags added at
+    (0, 1, ..., 1, n-r+1) and r!/2 taken from (0, 1, ..., 1, 2, n-r).  An
+    input with no circuit-hyperplane H fails one of two checks: the swapped
+    symbol must stay nonnegative, and for rank >= 2 the gamma coordinates
+    must count at least the r!/2 flags through H (M|H is U(r-1, r)) at
+    (0, 1, ..., 1, 2, n-r).  Only the second rejects U(1,3) + U(1,1).
     """
     n, r = g.n, g.r
     if r < 1 or n < r + 1:
@@ -270,58 +253,10 @@ def g_relax(g: GInvariant) -> GInvariant:
         raise ExactnessError(
             f"coefficient of [{swapped}] would become negative: "
             "input has no circuit-hyperplane")
-    out = GInvariant(n, r, coeffs)
     if r >= 2:
-        c = catenary_from_g(g)
-        counts = dict(c.counts)
-        kmax = (0,) + (1,) * (r - 1) + (n - r + 1,)
         kswp = (0,) + (1,) * (r - 2) + (2, n - r)
-        counts[kmax] = counts.get(kmax, 0) + math.factorial(r)
-        counts[kswp] = counts.get(kswp, 0) - math.factorial(r) // 2
-        if counts[kswp] < 0:
+        if catenary_from_g(g)[kswp] < math.factorial(r) // 2:
             raise ExactnessError(
                 f"flag count at {kswp} would become negative: "
                 "input has no circuit-hyperplane")
-        via_gamma = g_from_catenary(CatenaryData(n, r, counts))
-        if via_gamma != out:
-            raise ExactnessError("relaxation disagrees between symbol and gamma bases")
-    return out
-
-
-# -- deletion/contraction identity check ----------------------------------------------
-
-def _concat(g: GInvariant, suffix: str) -> dict:
-    return {key + suffix: c for key, c in g.coeffs.items()}
-
-
-def _concat_left(prefix: str, g: GInvariant) -> dict:
-    return {prefix + key: c for key, c in g.coeffs.items()}
-
-
-def dc_sum_check(m: Matroid) -> bool | str:
-    """Verify the all-deletions and all-contractions concatenation identities.
-
-    The G-invariant equals the sum over elements of G(M minus a) with a 0
-    (or 1, for a coloop) appended, and the sum of G(M / a) with a 1 (or 0,
-    for a loop) prepended.  Returns True, or the name of the failing side.
-    """
-    if m.n < 1:
-        raise ValueError("identities need at least one element")
-    g = g_invariant(m)
-    del_acc: dict[str, int] = {}
-    con_acc: dict[str, int] = {}
-    for e in range(m.n):
-        bit = 1 << e
-        gdel = g_invariant(m.delete(bit))
-        part = _concat(gdel, "1" if m.is_coloop(e) else "0")
-        for key, c in part.items():
-            del_acc[key] = del_acc.get(key, 0) + c
-        gcon = g_invariant(m.contract(bit))
-        part = _concat_left("0" if m.is_loop(e) else "1", gcon)
-        for key, c in part.items():
-            con_acc[key] = con_acc.get(key, 0) + c
-    if GInvariant(m.n, m.r, del_acc) != g:
-        return "deletion"
-    if GInvariant(m.n, m.r, con_acc) != g:
-        return "contraction"
-    return True
+    return GInvariant(n, r, coeffs)

@@ -421,6 +421,19 @@ def invariant_catenary(g: GInvariant, copies: int | None = 1) -> CatenaryData:
 
 # -- brute-force oracles -------------------------------------------------------
 
+def _expand_shifted(weights) -> dict[tuple[int, int], int]:
+    """Coefficients of x^i y^j in the sum of w (x-1)^a (y-1)^b over the
+    ((a, b), w) items of `weights`."""
+    terms: dict[tuple[int, int], int] = {}
+    for (a, b), w in weights.items():
+        for i in range(a + 1):
+            ci = math.comb(a, i) * (-1) ** (a - i)
+            for j in range(b + 1):
+                cj = math.comb(b, j) * (-1) ** (b - j)
+                terms[i, j] = terms.get((i, j), 0) + w * ci * cj
+    return terms
+
+
 def _rank_table(m: Matroid) -> list[int]:
     """Rank of every subset by the scan of the bases, not the presentation."""
     return list(map(_basis_scan(list(m.bases)), range(1 << m.n)))
@@ -453,15 +466,7 @@ def tutte_brute_force(m: Matroid, limit: int | None = None) -> TuttePolynomial:
     weights: Counter = Counter()
     for x in range(1 << m.n):
         weights[(m.r - table[x], x.bit_count() - table[x])] += 1
-    terms: dict[tuple[int, int], int] = {}
-    for (a, b), w in weights.items():
-        for i in range(a + 1):
-            ci = math.comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                cj = math.comb(b, j) * (-1) ** (b - j)
-                key = (i, j)
-                terms[key] = terms.get(key, 0) + w * ci * cj
-    return TuttePolynomial(terms)
+    return TuttePolynomial(_expand_shifted(weights))
 
 
 # -- specializations and closed forms -------------------------------------------
@@ -485,14 +490,7 @@ def tutte_from_g(g: GInvariant) -> TuttePolynomial:
                 wt += key[mlen - 1] == "1"
             idx = (r - wt, mlen - wt)
             powers[idx] = powers.get(idx, 0) + c * binom[mlen]
-    terms: dict[tuple[int, int], int] = {}
-    for (a, b), w in powers.items():
-        for i in range(a + 1):
-            ci = math.comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                cj = math.comb(b, j) * (-1) ** (b - j)
-                key = (i, j)
-                terms[key] = terms.get(key, 0) + w * ci * cj
+    terms = _expand_shifted(powers)
     nf = math.factorial(n)
     out = {}
     for key, val in terms.items():

@@ -213,12 +213,16 @@ class Matroid:
             for k in range(1, self.r + 2):
                 for combo in itertools.combinations(range(self.n), k):
                     c = mask_of(combo)
-                    if self.rank(c) != k - 1:
-                        continue
-                    if all(self.rank(c & ~(1 << e)) == k - 1 for e in combo):
+                    if self.is_circuit(c):
                         found.append(c)
             self._circuits = found
         return list(self._circuits)
+
+    def is_circuit(self, x: int) -> bool:
+        """True when x is dependent and each x - e is independent."""
+        k = x.bit_count()
+        return self.rank(x) == k - 1 and all(
+            self.rank(x & ~(1 << e)) == k - 1 for e in elements_of(x))
 
     def cocircuits(self) -> list[int]:
         return [self.full & ~x for x in self.copoints()]
@@ -345,9 +349,7 @@ class Matroid:
         """Relax a circuit-hyperplane: x becomes a basis."""
         if self.closure(x) != x or self.rank(x) != self.r - 1:
             raise ValueError("relaxation target is not a copoint")
-        k = x.bit_count()
-        if self.rank(x) != k - 1 or not all(
-                self.rank(x & ~(1 << e)) == k - 1 for e in elements_of(x)):
+        if not self.is_circuit(x):
             raise ValueError("relaxation target is not a circuit")
         rank, r = self.rank, self.r
         return Matroid(self.n, lambda y: r if y == x else rank(y))

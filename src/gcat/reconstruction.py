@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -219,15 +220,7 @@ def girth_deck_reconstruct(deck: Deck, g: int, n: int) -> GInvariant:
 # -- deck extraction from explicit matroids -------------------------------------
 
 def _group(invariants) -> tuple:
-    seen: dict = {}
-    order: list = []
-    for g in invariants:
-        if g in seen:
-            seen[g] += 1
-        else:
-            seen[g] = 1
-            order.append(g)
-    return tuple((g, seen[g]) for g in order)
+    return tuple(Counter(invariants).items())
 
 
 def copoint_deck(m: Matroid) -> Deck:

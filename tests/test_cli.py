@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gcat import from_graph, g_invariant, uniform
+from gcat import cli, from_graph, g_invariant, ginvariant, uniform
 from gcat.cli import main
 from gcat.matroid import Matroid
 from gcat.reconstruction import copoint_deck, rank_deck
@@ -104,6 +104,28 @@ class TestParams:
         assert json.loads(out) == {"has_spanning_circuit": True}
         code, out = run(capsys, "params", data("bowtie"), "--hamiltonian")
         assert json.loads(out) == {"has_spanning_circuit": False}
+
+
+@pytest.mark.parametrize("args", [("ginv", "--basis", "gamma"),
+                                  ("params", "--flats", 2, 2),
+                                  ("params", "--coloops", 2, 2, 2)])
+def test_each_input_is_solved_once(capsys, tmp_path, monkeypatch, args):
+    # the loader hands on the catenary data it holds: the checking solve
+    # of an invariant file, the flag walk of a matroid file
+    calls = []
+    solve = ginvariant.catenary_from_g
+    for module in (ginvariant, cli):
+        monkeypatch.setattr(module, "catenary_from_g",
+                            lambda g: calls.append(g) or solve(g))
+    path = tmp_path / "g.json"
+    path.write_text(canonical_dumps(
+        ginvariant_to_json(g_invariant(from_graph(K4_EDGES)))))
+    command, *rest = args
+    for source, expect in ((path, 1), (data("k4"), 0)):
+        calls.clear()
+        code, out = run(capsys, command, source, *rest)
+        assert code == 0 and out
+        assert len(calls) == expect, source
 
 
 class TestOps:

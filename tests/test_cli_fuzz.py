@@ -1,10 +1,12 @@
 """CLI fuzz guard: mutated and random payloads never escape as a traceback.
 
 Every command runs in-process through `cli.main` on G-invariant payloads
-(n <= 7) and on copoint, h-sums, circuit and rank-k decks, each mutated at
-a random place of its JSON tree.  A run must exit 0, 1 or 2, and every
-exit-0 output must load back through its `serialization` loader; a rebuilt
-invariant must also pass the invariant check.
+(n <= 7), on copoint, h-sums, circuit and rank-k decks, each mutated at a
+random place of its JSON tree or given wrong multiplicities, and on the
+matroid files of `tests/data` with fields retyped, dropped or given element
+indices in [-3, n+3].  A run must exit 0, 1 or 2, and every exit-0 output
+must load back through its `serialization` loader; a rebuilt invariant must
+also pass the invariant check.
 """
 
 import contextlib
@@ -20,9 +22,10 @@ from gcat import (circuit_deck, copoint_deck, from_graph, g_invariant,
                   rank_deck, size_grouped_copoint_deck, uniform)
 from gcat.cli import main
 from gcat.ginvariant import invariant_catenary
-from gcat.serialization import (catenary_from_json, deck_to_json,
-                                ginvariant_from_json, ginvariant_to_json)
-from conftest import K4_EDGES, BOWTIE_EDGES, load_data
+from gcat.serialization import (catenary_from_json, configuration_from_json,
+                                deck_to_json, ginvariant_from_json,
+                                ginvariant_to_json)
+from conftest import DATA, K4_EDGES, BOWTIE_EDGES, load_data
 
 MATROIDS = [uniform(2, 4), uniform(1, 3), from_graph(K4_EDGES),
             from_graph(BOWTIE_EDGES), load_data("fig1-m"),
@@ -32,6 +35,8 @@ INVARIANTS = [ginvariant_to_json(g_invariant(m)) for m in MATROIDS]
 DECKS = [deck_to_json(make(m)) for m in MATROIDS[:5]
          for make in (copoint_deck, size_grouped_copoint_deck, circuit_deck,
                       lambda m: rank_deck(m, 1))]
+MATROID_FILES = [json.loads(path.read_text(encoding="utf-8"))
+                 for path in sorted(DATA.glob("*.json"))]
 
 SMALL = st.integers(-1, 8)
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 10 ** 6),
@@ -50,19 +55,28 @@ def _paths(doc, path=()):
             yield from _paths(val, path + (i,))
 
 
+def _node(draw, doc):
+    """A random node of doc other than the root, as (parent, key), or None."""
+    path = draw(st.sampled_from(list(_paths(doc))))
+    if not path:
+        return None
+    *head, last = path
+    parent = doc
+    for step in head:
+        parent = parent[step]
+    return parent, last
+
+
 @st.composite
 def _mutated(draw, base):
     """A copy of a payload with up to three edits: a node replaced by some
     other JSON value, deleted, nudged by one, or a symbol key bit-flipped."""
     doc = json.loads(json.dumps(draw(base)))
     for _ in range(draw(st.integers(0, 3))):
-        path = draw(st.sampled_from(list(_paths(doc))))
-        if not path:
+        node = _node(draw, doc)
+        if node is None:
             continue
-        *head, last = path
-        parent = doc
-        for step in head:
-            parent = parent[step]
+        parent, last = node
         val = parent[last]
         how = draw(st.sampled_from(["replace", "delete", "nudge", "flip"]))
         if how == "replace":
@@ -77,6 +91,51 @@ def _mutated(draw, base):
             i = draw(st.integers(0, len(last) - 1))
             key = last[:i] + "10"[int(last[i])] + last[i + 1:]
             parent[key] = parent.pop(last)
+    return doc
+
+
+@st.composite
+def _wrong_multiplicities(draw):
+    """A deck with one entry's multiplicity changed or one invariant's
+    coefficients scaled, so that its entries can all be invariants while
+    their sum is no matroid's."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(DECKS))))
+    entry = draw(st.sampled_from(doc["entries"]))
+    if draw(st.booleans()):
+        entry["multiplicity"] = draw(st.integers(1, 4).filter(
+            lambda mult: mult != entry["multiplicity"]))
+    else:
+        half = draw(st.sampled_from(
+            [key for key in ("invariant", "restriction", "contraction")
+             if key in entry]))
+        scale = draw(st.integers(2, 3))
+        entry[half]["coeffs"] = {key: str(scale * int(c))
+                                 for key, c in entry[half]["coeffs"].items()}
+    return doc
+
+
+@st.composite
+def _mutated_matroids(draw):
+    """A shipped matroid file with one to three edits: a field given a value
+    of another type, an element index moved into [-3, n+3], or a field
+    dropped.  Values stay at the file's scale; work budgets are not fuzzed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(MATROID_FILES))))
+    index = st.integers(-3, doc["ground_set_size"] + 3)
+    values = st.one_of(st.none(), st.booleans(), index, index.map(float),
+                       index.map(str), st.text(max_size=3),
+                       st.lists(index, max_size=3), st.builds(dict))
+    for _ in range(draw(st.integers(1, 3))):
+        node = _node(draw, doc)
+        if node is None:
+            continue
+        parent, last = node
+        how = draw(st.sampled_from(["retype", "index", "drop"]))
+        if how == "retype":
+            parent[last] = draw(values)
+        elif how == "index" and type(parent[last]) is int:
+            parent[last] = draw(index)
+        elif how == "drop":
+            del parent[last]
     return doc
 
 
@@ -120,6 +179,12 @@ def _check_output(command, text):
         (key, val), = doc.items()
         assert isinstance(val, bool) if key == "has_spanning_circuit" \
             else int(val) >= 0
+    elif command == "catenary":
+        catenary_from_json(doc)
+    elif command == "config":
+        configuration_from_json(doc)
+    elif command == "verify":
+        assert doc["passed"] is True
     elif command == "detect-freeproduct":
         for factor in doc["factors"]:
             ginvariant_from_json(factor["left"])
@@ -164,3 +229,16 @@ def test_reconstruct(tmp, payload, data):
         roles.insert(0, payload["role"])
     role = data.draw(st.sampled_from(roles[:1] * 3 + roles[1:]))
     _run(tmp, payload, "reconstruct", ["--role", role])
+
+
+@settings(derandomize=True, deadline=None, max_examples=60)
+@given(payload=_wrong_multiplicities())
+def test_reconstruct_wrong_multiplicities(tmp, payload):
+    _run(tmp, payload, "reconstruct", ["--role", payload["role"]])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(payload=_mutated_matroids(),
+       command=st.sampled_from(["catenary", "config", "verify"]))
+def test_matroid_commands(tmp, payload, command):
+    _run(tmp, payload, command, [])

@@ -8,14 +8,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcat import (CatenaryData, ExactnessError, GInvariant, cat_add_loops,
-                  cat_direct_sum, cat_qcone, cat_strip_loops,
-                  catenary, catenary_from_g, dc_sum_check, dowling3,
-                  free_product_rank_sequence, from_graph, g_add_coloop,
-                  g_add_loop, g_brute_force, g_dual, g_free_coextension,
-                  g_free_extension, g_free_product,
+from gcat import (CatenaryData, ExactnessError, GInvariant, cat_direct_sum,
+                  cat_qcone, catenary, catenary_from_g, dc_sum_check,
+                  dowling3, free_product_rank_sequence, from_graph,
+                  g_add_coloop, g_add_loop, g_brute_force, g_dual,
+                  g_free_coextension, g_free_extension, g_free_product,
                   g_invariant, g_lift, g_relax, g_shuffle, g_truncate,
-                  uniform)
+                  gamma_expand, uniform)
+from gcat import constructions
 from conftest import K4_EDGES, geometric_qcone, load_data, presentations
 
 
@@ -95,30 +95,28 @@ class TestCatDirectSum:
             assert lhs == catenary_from_g(g_brute_force(m1.direct_sum(m2)))
 
 
+def _loops(h):
+    """Catenary data of U(0, h): one flag, the ground set."""
+    return CatenaryData(h, 0, {(h,): 1})
+
+
 class TestLoopsColoops:
     def test_examples(self):
         assert g_add_coloop(GInvariant(2, 1, {"10": 2})).coeffs == {
             "110": 4, "101": 2}
         assert g_add_loop(GInvariant(1, 1, {"1": 1})).coeffs == {"01": 1, "10": 1}
-        assert cat_strip_loops(CatenaryData(3, 1, {(2, 1): 1}), 2).counts \
-            == {(0, 1): 1}
-
-    def test_strip_guard(self):
-        with pytest.raises(ValueError):
-            cat_strip_loops(CatenaryData(3, 1, {(2, 1): 1}), 1)
+        assert cat_direct_sum(CatenaryData(1, 1, {(0, 1): 1}),
+                              _loops(2)).counts == {(2, 1): 1}
 
     def test_loop_relabel_round_trip(self, corpus, cache):
+        # adding h loops is the direct sum with U(0, h), loopy inputs too
         for name, m in corpus:
-            if m.closure(0):
-                continue  # loopless inputs only
             c = cache.cat(name, m)
             for h in (1, 2):
-                lifted = cat_add_loops(c, h)
                 target = m
                 for _ in range(h):
                     target = target.add_loop()
-                assert lifted == catenary(target), name
-                assert cat_strip_loops(lifted, h) == c, name
+                assert cat_direct_sum(c, _loops(h)) == catenary(target), name
 
 
 class TestFreeExtension:
@@ -316,6 +314,44 @@ class TestRelax:
     def test_guard_no_circuit_hyperplane(self):
         with pytest.raises(ExactnessError):
             g_relax(g_invariant(uniform(2, 3)))
+
+    def test_gamma_count_guard(self):
+        # the symbol check passes (6 >= 2!2! = 4); only the flags through a
+        # would-be circuit-hyperplane, counted at (0, 2, 2), are missing
+        g = g_invariant(uniform(1, 3).direct_sum(uniform(1, 1)))
+        assert g["1010"] == 6
+        with pytest.raises(ExactnessError) as exc:
+            g_relax(g)
+        assert str(exc.value) == ("flag count at (0, 2, 2) would become "
+                                  "negative: input has no circuit-hyperplane")
+
+    def test_symbol_update_is_the_gamma_update(self):
+        # r! gamma(0,1..1,n-r+1) - (r!/2) gamma(0,1..1,2,n-r) is
+        # r!(n-r)! ([1^r 0^(n-r)] - [1^(r-1) 0 1 0^(n-r-1)])
+        for n in range(3, 13):
+            for r in range(2, n):
+                f = math.factorial(r)
+                lhs = {}
+                for a, w in [((0,) + (1,) * (r - 1) + (n - r + 1,), f),
+                             ((0,) + (1,) * (r - 2) + (2, n - r), -f // 2)]:
+                    for key, c in gamma_expand(a).coeffs.items():
+                        lhs[key] = lhs.get(key, 0) + w * c
+                delta = f * math.factorial(n - r)
+                rhs = {"1" * r + "0" * (n - r): delta,
+                       "1" * (r - 1) + "01" + "0" * (n - r - 1): -delta}
+                assert GInvariant(n, r, lhs) == GInvariant(n, r, rhs), (n, r)
+
+    def test_one_solve_and_no_rebuild(self, monkeypatch):
+        calls = []
+        for name in ("catenary_from_g", "g_from_catenary"):
+            fn = getattr(constructions, name)
+            monkeypatch.setattr(
+                constructions, name,
+                lambda *a, fn=fn, name=name: calls.append(name) or fn(*a))
+        g_relax(g_invariant(uniform(1, 2).direct_sum(uniform(1, 1))))
+        assert calls == ["catenary_from_g"]
+        g_relax(g_invariant(uniform(0, 1).direct_sum(uniform(1, 1))))
+        assert calls == ["catenary_from_g"]  # rank 1: the symbol check only
 
     def test_corpus_circuit_hyperplanes(self, corpus, cache):
         from gcat import elements_of

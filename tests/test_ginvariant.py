@@ -469,6 +469,14 @@ class TestTutte:
         t = tutte_brute_force(from_graph(K4_EDGES))
         assert t.evaluate(1, 1) == 16
 
+    def test_k4_whole_polynomial(self):
+        # x^3 + 3x^2 + 2x + 4xy + 2y + 3y^2 + y^3
+        expect = {(3, 0): 1, (2, 0): 3, (1, 0): 2, (1, 1): 4, (0, 1): 2,
+                  (0, 2): 3, (0, 3): 1}
+        k4 = from_graph(K4_EDGES)
+        assert tutte_from_g(g_invariant(k4)).terms == expect
+        assert tutte_brute_force(k4).terms == expect
+
     def test_fig2_pair_same_tutte(self):
         m1, m2 = load_data("fig2-m1"), load_data("fig2-m2")
         t1 = tutte_from_g(g_invariant(m1))

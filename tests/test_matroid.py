@@ -174,6 +174,21 @@ class TestQueries:
                if c.bit_count() == 3 and m.rank(c) == 2]
         assert sorted(cyc) == [mask_of([0, 1, 2]), mask_of([3, 4, 5])]
 
+    def test_is_circuit_is_minimal_dependence(self, corpus):
+        for name, m in corpus:
+            if m.n > 7:
+                continue
+            bases = m.bases
+
+            def independent(x):
+                return any(x & ~b == 0 for b in bases)
+
+            for x in range(1 << m.n):
+                minimal_dependent = not independent(x) and all(
+                    independent(x & ~(1 << e)) for e in range(m.n)
+                    if x >> e & 1)
+                assert m.is_circuit(x) == minimal_dependent, (name, x)
+
     def test_cocircuits_by_exhaustive_minimality(self):
         # oracle: minimal sets meeting every basis
         k4 = from_graph(K4_EDGES)

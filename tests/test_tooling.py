@@ -1,7 +1,9 @@
-"""The demos run clean, the benchmark's tracer finds every layer, and the
-README documents every CLI command."""
+"""The demos run clean, the benchmark's tracer finds every layer, the
+README documents every CLI command, and the invariant layer imports no
+matroid."""
 
 import argparse
+import ast
 import importlib
 import importlib.util
 import os
@@ -53,3 +55,24 @@ def test_readme_lists_every_cli_command():
     sub, = (action for action in _build_parser()._actions
             if isinstance(action, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def _imported_modules(path):
+    """Absolute names of the gcat modules a gcat source file imports."""
+    found = set()
+    for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+        if isinstance(node, ast.Import):
+            found.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ("gcat." * (node.level > 0) + (node.module or "")).rstrip(".")
+            found.add(base)
+            found.update(f"{base}.{alias.name}" for alias in node.names)
+    return found
+
+
+@pytest.mark.parametrize("module", ["constructions", "parameters"])
+def test_invariant_layer_imports_no_matroid(module):
+    # these modules work on invariant vectors alone; matroids stay oracles
+    imported = _imported_modules(ROOT / "src" / "gcat" / f"{module}.py")
+    assert not {name for name in imported
+                if name == "gcat.matroid" or name.startswith("gcat.matroid.")}
