@@ -19,31 +19,37 @@ from . import serialization as ser
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
-from .ginvariant import (CatenaryData, GInvariant, catenary, catenary_from_g,
-                         g_from_catenary, invariant_catenary, tutte_from_g)
+from .ginvariant import (CatenaryData, GInvariant, catenary, g_from_catenary,
+                         invariant_catenary, tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
 
 
-def _qcone(g: GInvariant, q: int | None) -> GInvariant:
+def _qcone(loaded: tuple[GInvariant, CatenaryData],
+           q: int | None) -> GInvariant:
     if q is None:
         raise PresentationError("qcone needs --q")
-    return g_from_catenary(cons.cat_qcone(catenary_from_g(g), q))
+    return g_from_catenary(cons.cat_qcone(loaded[1], q))
+
+
+def _on_g(construction):
+    """An op on the loaded invariants alone, without their catenary data."""
+    return lambda *loaded: construction(*(g for g, _ in loaded))
 
 
 # op name -> (number of invariant files, options passed after them,
-# construction)
+# construction of the loaded (invariant, catenary data) pairs)
 OPS = {
-    "dual": (1, (), cons.g_dual),
-    "truncate": (1, (), cons.g_truncate),
-    "lift": (1, (), cons.g_lift),
-    "freeext": (1, (), cons.g_free_extension),
-    "freecoext": (1, (), cons.g_free_coextension),
-    "relax": (1, (), cons.g_relax),
+    "dual": (1, (), _on_g(cons.g_dual)),
+    "truncate": (1, (), _on_g(cons.g_truncate)),
+    "lift": (1, (), _on_g(cons.g_lift)),
+    "freeext": (1, (), _on_g(cons.g_free_extension)),
+    "freecoext": (1, (), _on_g(cons.g_free_coextension)),
+    "relax": (1, (), _on_g(cons.g_relax)),
     "qcone": (1, ("q",), _qcone),
-    "sum": (2, (), cons.g_shuffle),
-    "freeproduct": (2, (), cons.g_free_product),
+    "sum": (2, (), _on_g(cons.g_shuffle)),
+    "freeproduct": (2, (), _on_g(cons.g_free_product)),
 }
 
 # deck role -> reconstruction; a rank-k deck carries k in its restrictions
@@ -179,8 +185,8 @@ def _op(args) -> int:
         raise PresentationError(
             f"{args.name} takes {arity} invariant file(s), "
             f"got {len(args.files)}")
-    gs = [_load_ginvariant(path)[0] for path in args.files]
-    out = construction(*gs, *(getattr(args, opt) for opt in options))
+    loaded = [_load_ginvariant(path) for path in args.files]
+    out = construction(*loaded, *(getattr(args, opt) for opt in options))
     return _emit(ser.ginvariant_to_json(out))
 
 

@@ -257,14 +257,19 @@ def gamma_one(a: tuple) -> int:
 # -- catenary data of a matroid -----------------------------------------------
 
 def catenary(m: Matroid) -> CatenaryData:
-    """Flag counts by composition: the flag walk of the coloop-free core.
+    """Flag counts by composition: the copoint census of a paving
+    presentation, else the flag walk of the coloop-free core.
 
-    A matroid with k coloops is its deletion of them plus U(k,k), and
-    U(k,k) has the one key (0, 1, ..., 1) with k! flags.  So the coloops
-    are split off, the rest is walked by `_flag_walk`, and the coloops are
+    A paving matroid of rank >= 2 has its catenary data fixed by its count
+    of copoints of each size (`paving_catenary`), so a presentation holding
+    that census walks nothing.  A matroid with k coloops is its deletion of
+    them plus U(k,k), with the one key (0, 1, ..., 1) of k! flags.  So the
+    coloops are split off, the rest is walked by `_flag_walk`, and they are
     shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
     copies of the core's flat lattice that they would multiply it into.
     """
+    if m.copoint_sizes is not None:
+        return paving_catenary(m.n, m.r, m.copoint_sizes)
     coloops = m.coloops()
     if not coloops:
         return _flag_walk(m)

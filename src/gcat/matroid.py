@@ -10,16 +10,21 @@ a transform of its parents' rank, so it keeps them alive.  Closure, from
 which covers and flats are built, comes from the presentation where one
 supplies it: graph, uniform, paving, Dowling and cyclic-flat matroids, and a
 minor of any of these.  Every other matroid closes a set by one rank call
-per element outside it.  Each presentation but a basis family is a matroid
-by construction, so only `from_bases` checks basis exchange.  The bases are
-built only when read (equality, the top-symbol check, an asked-for exchange
-check).  Everything here is desk-scale and exact; these matroids double as
+per element outside it.  A paving presentation of rank r >= 2 (uniform,
+paving, Dowling) knows how many copoints it has of each size, which fixes
+its catenary data (the census theorem), so `catenary` walks no flats for
+it; no derived matroid carries that census.  Each presentation but a basis
+family is a matroid by construction, so only `from_bases` checks basis
+exchange.  The bases are built only when read (equality, the top-symbol
+check, an asked-for exchange check).  Everything here is desk-scale and exact; these matroids double as
 ground-truth oracles for the invariant-level machinery.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
+from collections import Counter
 
 from .errors import PresentationError
 
@@ -58,6 +63,8 @@ class Matroid:
 
     `rank_of` maps a bitmask to its rank; `r` is the rank of the ground set.
     `closure_of`, when given, maps a bitmask to its closure without ranking.
+    `copoint_sizes`, when given, maps each copoint size of a paving matroid
+    of rank >= 2 to the number of copoints of that size.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
     of rank r.  A derived matroid ranks through its parent's `rank`, so it
     keeps its parent (and the parent's caches) alive.  Instances are
@@ -65,13 +72,16 @@ class Matroid:
     """
 
     __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
-                 "_rank_cache", "_flats_by_rank", "_circuits", "_closure_cache")
+                 "copoint_sizes", "_rank_cache", "_flats_by_rank",
+                 "_circuits", "_closure_cache")
 
-    def __init__(self, n: int, rank_of, *, closure_of=None):
+    def __init__(self, n: int, rank_of, *, closure_of=None,
+                 copoint_sizes=None):
         self.n = n
         self.full = (1 << n) - 1
         self._rank_of = rank_of
         self._closure_of = closure_of
+        self.copoint_sizes = copoint_sizes
         self.r = rank_of(self.full)
         self._bases = None
         self._rank_cache = {0: 0}
@@ -394,8 +404,10 @@ def uniform(r: int, n: int) -> Matroid:
     if not 0 <= r <= n:
         raise PresentationError(f"U({r},{n}) is not a matroid")
     full = (1 << n) - 1
+    census = {r - 1: math.comb(n, r - 1)} if r > 1 else None
     return Matroid(n, lambda x: min(x.bit_count(), r),
-                   closure_of=lambda x: x if x.bit_count() < r else full)
+                   closure_of=lambda x: x if x.bit_count() < r else full,
+                   copoint_sizes=census)
 
 
 def from_graph(edges) -> Matroid:
@@ -498,7 +510,12 @@ def from_paving_copoints(n: int, r: int, copoints) -> Matroid:
                 return c
         return x if size == r - 1 else full
 
-    return Matroid(n, rank_of, closure_of=closure_of)
+    # the (r-1)-subsets inside no listed copoint are the implicit copoints
+    census = Counter(c.bit_count() for c in masks)
+    census[r - 1] += math.comb(n, r - 1) - sum(
+        math.comb(size, r - 1) * f for size, f in census.items())
+    return Matroid(n, rank_of, closure_of=closure_of,
+                   copoint_sizes=census if r > 1 else None)
 
 
 def from_cyclic_flats(n: int, flats) -> Matroid:

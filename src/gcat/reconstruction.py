@@ -49,12 +49,13 @@ class Deck:
 
 
 def circle_product(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
-    """Concatenate gamma coordinates: keys of c2 must be loopless."""
+    """Concatenate gamma coordinates: keys of c2 must be loopless, as a
+    contraction by a flat is."""
     counts: dict[tuple, int] = {}
     for a, x in c1.counts.items():
         for b, y in c2.counts.items():
             if b[0] != 0:
-                raise ValueError(f"second factor has a loopy key {b}")
+                raise ExactnessError(f"second factor has a loopy key {b}")
             key = a + b[1:]
             counts[key] = counts.get(key, 0) + x * y
     return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)

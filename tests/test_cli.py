@@ -106,24 +106,27 @@ class TestParams:
         assert json.loads(out) == {"has_spanning_circuit": False}
 
 
-@pytest.mark.parametrize("args", [("ginv", "--basis", "gamma"),
-                                  ("params", "--flats", 2, 2),
-                                  ("params", "--coloops", 2, 2, 2)])
+FILE = object()  # where the input file goes in the argument list
+
+
+@pytest.mark.parametrize("args", [("ginv", FILE, "--basis", "gamma"),
+                                  ("params", FILE, "--flats", 2, 2),
+                                  ("params", FILE, "--coloops", 2, 2, 2),
+                                  ("op", "qcone", FILE, "--q", 2)])
 def test_each_input_is_solved_once(capsys, tmp_path, monkeypatch, args):
     # the loader hands on the catenary data it holds: the checking solve
     # of an invariant file, the flag walk of a matroid file
     calls = []
     solve = ginvariant.catenary_from_g
-    for module in (ginvariant, cli):
-        monkeypatch.setattr(module, "catenary_from_g",
-                            lambda g: calls.append(g) or solve(g))
+    monkeypatch.setattr(ginvariant, "catenary_from_g",
+                        lambda g: calls.append(g) or solve(g))
+    assert not hasattr(cli, "catenary_from_g")
     path = tmp_path / "g.json"
     path.write_text(canonical_dumps(
         ginvariant_to_json(g_invariant(from_graph(K4_EDGES)))))
-    command, *rest = args
     for source, expect in ((path, 1), (data("k4"), 0)):
         calls.clear()
-        code, out = run(capsys, command, source, *rest)
+        code, out = run(capsys, *(source if a is FILE else a for a in args))
         assert code == 0 and out
         assert len(calls) == expect, source
 
@@ -225,6 +228,19 @@ class TestReconstruct:
         code, out = run(capsys, "reconstruct", "--deck", path, "--role", "rank-k")
         assert code == 0
         assert json.loads(out)["coeffs"] == {"110100": "144", "111000": "576"}
+
+    def test_rank_k_loopy_contraction_is_exit_2(self, capsys, tmp_path):
+        # well-formed invariants, U(1,1) and U(0,1), but a contraction by a
+        # flat has no loops, so the pair is no matroid's deck entry
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps({"role": "rank-k", "entries": [{
+            "restriction": {"n": 1, "r": 1, "coeffs": {"1": "1"}},
+            "contraction": {"n": 1, "r": 0, "coeffs": {"0": "1"}}}]}))
+        assert main(["reconstruct", "--deck", str(path),
+                     "--role", "rank-k"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == (
+            "inconsistency: second factor has a loopy key (1,)\n")
 
     def test_rank_k_empty_deck(self, capsys, tmp_path):
         path = tmp_path / "deck.json"

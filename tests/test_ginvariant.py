@@ -12,14 +12,15 @@ from hypothesis import strategies as st
 
 from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   basis_count, catenary, catenary_from_g, comp_to_seq,
-                  compositions, dominates, from_graph,
+                  compositions, dominates, dowling3, from_graph,
+                  from_paving_copoints,
                   g_brute_force, g_from_catenary, g_invariant, gamma_expand,
                   gamma_one,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
 from gcat.ginvariant import (_flag_walk, gamma_coeffs, invariant_catenary,
                              invariant_copies)
-from conftest import K4_EDGES, load_data, presentations
+from conftest import FANO_LINES, K4_EDGES, load_data, presentations
 
 
 @st.composite
@@ -222,7 +223,50 @@ class TestCatenary:
         assert len(m._rank_cache) <= 40
 
     def test_u516_is_a_design(self):
-        assert catenary(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
+        assert _flag_walk(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(presentations(10))
+    def test_census_is_the_flag_walk(self, m):
+        # uniform, paving and Dowling draws read their copoint census; the
+        # walk is the oracle
+        assert catenary(m) == _flag_walk(m)
+        if m.copoint_sizes is not None:
+            walked = Counter(c.bit_count() for c in m.copoints())
+            assert {k: f for k, f in m.copoint_sizes.items() if f} == walked
+
+    @pytest.mark.parametrize("m, census", [
+        (uniform(0, 4), None), (uniform(1, 4), None),
+        (uniform(4, 4), {3: 4}), (uniform(2, 2), {1: 2}),
+        (from_paving_copoints(4, 4, []), {3: 4}),
+        (from_paving_copoints(4, 1, [[0, 1]]), None),
+        (from_paving_copoints(7, 3, FANO_LINES), {3: 7}),
+        (from_paving_copoints(6, 3, [[0, 1, 2, 3]]), {4: 1, 2: 9}),
+    ], ids=["U(0,4)", "U(1,4)", "U(4,4)", "U(2,2)", "paving r=n",
+            "paving r=1", "Fano", "one 4-point line"])
+    def test_census_edge_shapes(self, m, census):
+        assert catenary(m) == _flag_walk(m)
+        sizes = m.copoint_sizes
+        assert census == (None if sizes is None else
+                          {k: f for k, f in sizes.items() if f})
+
+    def test_census_skips_the_walk(self):
+        m = uniform(6, 40)
+        assert catenary(m).counts == {
+            (0, 1, 1, 1, 1, 1, 35): math.factorial(40) // math.factorial(35)}
+        assert m._flats_by_rank is None
+        assert not m._closure_cache and m._rank_cache == {0: 0}
+
+    @pytest.mark.parametrize("m", [
+        uniform(3, 6), from_paving_copoints(7, 3, FANO_LINES),
+        dowling3([[0, 1], [1, 0]])], ids=["U(3,6)", "Fano", "Dowling Z2"])
+    def test_derived_matroids_carry_no_census(self, m):
+        derived = [m.dual(), m.truncate(), m.lift(), m.delete(1),
+                   m.contract(1), m.restrict(m.full), m.minor(1, 2),
+                   m.free_extension(), m.free_coextension(), m.add_loop(),
+                   m.add_coloop(), m.direct_sum(m), m.free_product(m)]
+        for d in derived:
+            assert d.copoint_sizes is None
 
     @settings(max_examples=40, deadline=None)
     @given(_with_coloops())
@@ -528,7 +572,7 @@ class TestClosedForms:
 
     def test_pmd_matches_fano(self):
         from conftest import fano
-        assert pmd_catenary([0, 1, 3, 7]) == catenary(fano())
+        assert pmd_catenary([0, 1, 3, 7]) == _flag_walk(fano())
 
     def test_pmd_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
@@ -542,7 +586,7 @@ class TestClosedForms:
         assert paving_catenary(6, 3, {3: 2, 2: 9}).counts == {
             (0, 1, 2, 3): 6, (0, 1, 1, 4): 18}
         assert paving_catenary(4, 2, {1: 4}).counts == {(0, 1, 3): 4}
-        assert paving_catenary(4, 2, {1: 4}) == catenary(uniform(2, 4))
+        assert paving_catenary(4, 2, {1: 4}) == _flag_walk(uniform(2, 4))
 
     def test_paving_census_matches_catenary(self, corpus, cache):
         for name, m in corpus:
