@@ -27,7 +27,7 @@ from .ginvariant import (CatenaryData, GInvariant, TuttePolynomial,
                          basis_count, catenary, catenary_from_g,
                          comp_to_seq, compositions, dominates, g_brute_force,
                          g_from_catenary, g_invariant, gamma_expand,
-                         gamma_one, oracle_limit, paving_catenary,
+                         gamma_one, paving_catenary,
                          pmd_catenary, seq_to_comp, tutte_brute_force,
                          tutte_from_g)
 from .matroid import (Matroid, build_matroid, dowling3, elements_of,

@@ -19,8 +19,9 @@ from . import serialization as ser
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
-from .ginvariant import (CatenaryData, GInvariant, catenary, g_from_catenary,
-                         invariant_catenary, tutte_from_g)
+from .ginvariant import (DEFAULT_ORACLE_LIMIT, CatenaryData, GInvariant,
+                         catenary, g_from_catenary, invariant_catenary,
+                         tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
@@ -139,8 +140,8 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gcat",
         description="G-invariant, catenary data, and Tutte polynomial of "
                     "explicitly presented matroids")
-    top.add_argument("--oracle-limit", type=int, default=None,
-                     help="cap for the brute-force oracles (default 9)")
+    top.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
+                     help="brute-force oracle cap (default %(default)s)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary):

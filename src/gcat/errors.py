@@ -1,4 +1,4 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the JSON integer reader."""
 
 
 class PresentationError(ValueError):
@@ -12,3 +12,15 @@ class ExactnessError(ValueError):
     Raising this instead of rounding is deliberate; it is how the library
     reports that an input vector is not the invariant of any matroid.
     """
+
+
+def json_int(value) -> int:
+    """A JSON integer that is no bool, or a string of ASCII decimal digits
+    with an optional leading '-', as canonical output writes big integers;
+    int() would also read 6.9, true, "6_0" or " 6 " as a value not given."""
+    if type(value) is int:
+        return value
+    if (isinstance(value, str) and value.isascii()
+            and value.removeprefix("-").isdigit()):
+        return int(value)
+    raise PresentationError(f"{value!r} is not an integer")

@@ -25,12 +25,7 @@ from typing import Mapping
 from .errors import ExactnessError
 from .matroid import Matroid, _basis_scan, elements_of
 
-DEFAULT_ORACLE_LIMIT = 9
-
-
-def oracle_limit(explicit: int | None = None) -> int:
-    """Permutation/subset oracle cap: the explicit arg, else the default."""
-    return DEFAULT_ORACLE_LIMIT if explicit is None else explicit
+DEFAULT_ORACLE_LIMIT = 9  # largest n the brute-force oracles take
 
 
 # -- sequences and compositions ---------------------------------------------
@@ -444,11 +439,11 @@ def _rank_table(m: Matroid) -> list[int]:
     return list(map(_basis_scan(list(m.bases)), range(1 << m.n)))
 
 
-def g_brute_force(m: Matroid, limit: int | None = None) -> GInvariant:
+def g_brute_force(m: Matroid,
+                  limit: int = DEFAULT_ORACLE_LIMIT) -> GInvariant:
     """Ground-truth G-invariant: all n! orderings, counted subset by subset."""
-    cap = oracle_limit(limit)
-    if m.n > cap:
-        raise ValueError(f"brute force capped at n <= {cap}, got n = {m.n}")
+    if m.n > limit:
+        raise ValueError(f"brute force capped at n <= {limit}, got n = {m.n}")
     table = _rank_table(m)
     words: list[dict[str, int]] = [{} for _ in table]
     words[0][""] = 1
@@ -462,11 +457,11 @@ def g_brute_force(m: Matroid, limit: int | None = None) -> GInvariant:
     return GInvariant(m.n, m.r, words[m.full])
 
 
-def tutte_brute_force(m: Matroid, limit: int | None = None) -> TuttePolynomial:
+def tutte_brute_force(m: Matroid,
+                      limit: int = DEFAULT_ORACLE_LIMIT) -> TuttePolynomial:
     """Corank-nullity sum over all 2^n subsets."""
-    cap = oracle_limit(limit)
-    if m.n > cap:
-        raise ValueError(f"brute force capped at n <= {cap}, got n = {m.n}")
+    if m.n > limit:
+        raise ValueError(f"brute force capped at n <= {limit}, got n = {m.n}")
     table = _rank_table(m)
     weights: Counter = Counter()
     for x in range(1 << m.n):

@@ -26,7 +26,7 @@ import itertools
 import math
 from collections import Counter
 
-from .errors import PresentationError
+from .errors import PresentationError, json_int
 
 # from_bases checks basis exchange by default up to this many elements; above
 # it, pass validate=True explicitly (|B|·r bitset ORs over the bases).
@@ -169,9 +169,6 @@ class Matroid:
 
     def is_coloop(self, e: int) -> bool:
         return self.rank(self.full & ~(1 << e)) < self.r
-
-    def loops(self) -> int:
-        return self.closure(0)
 
     def coloops(self) -> int:
         return mask_of(e for e in range(self.n) if self.is_coloop(e))
@@ -643,12 +640,12 @@ def from_bases(n: int, bases, *, validate: bool | None = None) -> Matroid:
 # presentation kind -> (needs ground_set_size, builder(record, n, validate))
 _PRESENTATIONS = {
     "bases": (True, lambda p, n, v: from_bases(n, p["bases"], validate=v)),
-    "uniform": (True, lambda p, n, v: uniform(int(p["rank"]), n)),
+    "uniform": (True, lambda p, n, v: uniform(json_int(p["rank"]), n)),
     "graph": (False, lambda p, n, v: from_graph(p["edges"])),
     "paving_copoints": (True, lambda p, n, v: from_paving_copoints(
-        n, int(p["rank"]), p["copoints"])),
+        n, json_int(p["rank"]), p["copoints"])),
     "cyclic_flats": (True, lambda p, n, v: from_cyclic_flats(
-        n, [(item["elements"], item["rank"]) for item in p["flats"]])),
+        n, [(f["elements"], json_int(f["rank"])) for f in p["flats"]])),
     "dowling3": (False, lambda p, n, v: dowling3(p["group_table"])),
 }
 

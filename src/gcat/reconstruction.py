@@ -1,11 +1,13 @@
 """Reassembling a G-invariant from decks of minors.
 
 A deck is an unlabeled multiset of invariants of minors: restrictions to
-copoints, contractions by circuits, or (restriction, contraction) pairs over
-the rank-k flats.  The circle product concatenates gamma-basis coordinates,
-the slicing identity sums it over a rank level, and the copoint recursion
-rebuilds the catenary data once the ground-set size has been recovered from
-the deck by exact rational search.
+copoints, contractions by circuits or by rank-g flats, or (restriction,
+contraction) pairs over the rank-k flats.  Every rebuild is one slicing sum
+nu(M) = sum over the flats X of one rank of nu(M|X) o nu(M/X), where the
+circle product o concatenates gamma-basis coordinates.  A copoint deck is
+the rank r-1 case with M/H = U(1, n - |H|), once the ground-set size n is
+recovered from the deck by exact rational search; a girth deck is the rank
+g case with M|X = U(g, g).
 """
 
 from __future__ import annotations
@@ -49,38 +51,39 @@ class Deck:
 
 
 def circle_product(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
-    """Concatenate gamma coordinates: keys of c2 must be loopless, as a
-    contraction by a flat is."""
+    """Concatenate gamma coordinates: the slicing sum of one pair."""
+    return _slice_counts([(1, c1, c2)])
+
+
+def _slice_counts(triples) -> CatenaryData:
+    """Sum of mult * (c1 o c2) over (multiplicity, restriction catenary c1,
+    contraction catenary c2) triples, whose products share one shape and
+    whose keys share one loop count: keys a and b give a + b[1:], where b
+    must be loopless, as the key of a contraction by a flat is."""
+    triples = list(triples)
+    shapes = {(c1.n + c2.n, c1.r + c2.r) for _, c1, c2 in triples}
+    if not shapes:
+        raise ValueError("empty deck")
+    if len(shapes) > 1:
+        raise ExactnessError(
+            f"deck entries have mixed shapes {sorted(shapes)}")
     counts: dict[tuple, int] = {}
-    for a, x in c1.counts.items():
+    for mult, c1, c2 in triples:
         for b, y in c2.counts.items():
             if b[0] != 0:
                 raise ExactnessError(f"second factor has a loopy key {b}")
-            key = a + b[1:]
-            counts[key] = counts.get(key, 0) + x * y
-    return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)
+            tail = b[1:]
+            for a, x in c1.counts.items():
+                key = a + tail
+                counts[key] = counts.get(key, 0) + mult * x * y
+    total = CatenaryData(*shapes.pop(), counts)
+    total.loops()
+    return total
 
 
-def _deck_sum(entries, solve) -> CatenaryData:
-    """Sum of mult * solve(entry) over (entry, mult) pairs of one shape."""
-    total: dict[tuple, int] = {}
-    shape = None
-    for entry, mult in entries:
-        c = solve(entry)
-        if shape is None:
-            shape = (c.n, c.r)
-        elif shape != (c.n, c.r):
-            raise ValueError("deck entries have inconsistent shapes")
-        for comp, v in c.counts.items():
-            total[comp] = total.get(comp, 0) + mult * v
-    if shape is None:
-        raise ValueError("empty deck")
-    return CatenaryData(shape[0], shape[1], total)
-
-
-def _rebuild(c: CatenaryData) -> GInvariant:
-    """The invariant of summed deck counts, which must total n! orderings."""
-    g = g_from_catenary(c)
+def _slicing_sum(triples) -> GInvariant:
+    """The invariant a deck's triples rebuild, which must total n!."""
+    g = g_from_catenary(_slice_counts(triples))
     invariant_copies(g)
     return g
 
@@ -89,16 +92,13 @@ def slice_assemble(deck: Deck, k: int) -> GInvariant:
     """Reassemble the invariant from the rank-k deck of (M|X, M/X) pairs."""
     if deck.role != "rank-k":
         raise ValueError("slicing needs a rank-k deck of pairs")
-
-    def solve(pair):
-        g_rest, g_contr = pair
+    for (g_rest, _), _ in deck.entries:
         if g_rest.r != k:
-            raise ValueError(
+            raise ExactnessError(
                 f"deck entry has restriction rank {g_rest.r}, expected {k}")
-        return circle_product(invariant_catenary(g_rest),
-                              invariant_catenary(g_contr))
-
-    return _rebuild(_deck_sum(deck.entries, solve))
+    return _slicing_sum(
+        (mult, invariant_catenary(rest), invariant_catenary(contr))
+        for (rest, contr), mult in deck.entries)
 
 
 def _copoint_catenaries(deck: Deck) -> list[tuple[CatenaryData, int, int]]:
@@ -167,29 +167,17 @@ def _recover_n(cats: list[tuple[CatenaryData, int, int]]) -> int:
 def reconstruct_from_copoint_deck(deck: Deck) -> GInvariant:
     """Rebuild the invariant from the unlabeled copoint restrictions.
 
-    Works equally from individual entries or size-grouped sums: only the
-    per-size totals enter, via the copoint recursion
-    nu(a_0, ..., a_{r-1}, a_r) = sum over entries of size n - a_r of the
-    entry's nu(a_0, ..., a_{r-1}).
+    The slicing sum at rank r - 1: the contraction by a copoint H is
+    U(1, n - |H|), whose one key is (0, n - |H|).  Only per-size totals
+    enter, so individual entries and size-grouped sums rebuild alike.
     """
     if deck.role not in {"copoint", "h-sums"}:
         raise ValueError("copoint reconstruction needs a copoint or h-sums deck")
     cats = _copoint_catenaries(deck)
     n = _recover_n(cats)
-    r = cats[0][0].r + 1
-    loopsets = {c.loops() for c, _, _ in cats}
-    if len(loopsets) != 1:
-        raise ExactnessError(
-            f"inconsistent loop counts across deck entries: {sorted(loopsets)}")
-    counts: dict[tuple, int] = {}
-    for c, mult, _ in cats:
-        a_r = n - c.n
-        if a_r < 1:
-            raise ExactnessError(f"deck entry of size {c.n} cannot be a copoint")
-        for comp, cnt in c.counts.items():
-            key = comp + (a_r,)
-            counts[key] = counts.get(key, 0) + mult * cnt
-    return g_from_catenary(CatenaryData(n, r, counts))
+    return _slicing_sum(
+        (mult, c, CatenaryData(n - c.n, 1, {(0, n - c.n): 1}))
+        for c, mult, _ in cats)
 
 
 def circuit_deck_reconstruct(deck: Deck) -> GInvariant:
@@ -208,14 +196,16 @@ def circuit_deck_reconstruct(deck: Deck) -> GInvariant:
 def girth_deck_reconstruct(deck: Deck, g: int, n: int) -> GInvariant:
     """Rebuild the invariant of a matroid with girth at least g+2 from the
     contractions by its rank-g flats (all of which are g-element independent
-    flats, restricting to free matroids).
+    flats, restricting to free matroids): the slicing sum at rank g with
+    every restriction U(g,g), whose one key (0, 1, ..., 1) has g! flags.
     """
-    summed = _deck_sum(deck.entries, invariant_catenary)
-    if summed.n + g != n:
+    free = CatenaryData(g, g, {(0,) + (1,) * g: math.factorial(g)})
+    rebuilt = _slicing_sum((mult, free, invariant_catenary(entry))
+                           for entry, mult in deck.entries)
+    if rebuilt.n != n:
         raise ValueError(
-            f"entries of size {summed.n} with g={g} do not fit n={n}")
-    prefix = CatenaryData(g, g, {(0,) + (1,) * g: math.factorial(g)})
-    return _rebuild(circle_product(prefix, summed))
+            f"entries of size {rebuilt.n - g} with g={g} do not fit n={n}")
+    return rebuilt
 
 
 # -- deck extraction from explicit matroids -------------------------------------

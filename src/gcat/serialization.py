@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 
 from .configuration import Configuration
-from .errors import PresentationError
+from .errors import PresentationError, json_int
 from .freeproduct import FactorizationReport
 from .ginvariant import CatenaryData, GInvariant, TuttePolynomial
 from .matroid import Matroid, build_matroid
@@ -26,6 +26,8 @@ def canonical_dumps(value) -> str:
 
 def matroid_from_json(doc: dict) -> Matroid:
     n = doc.get("ground_set_size")
+    if n is not None and type(n) is not int:
+        raise PresentationError("'ground_set_size' must be a JSON integer")
     pres = doc.get("presentation")
     if pres is None:
         raise PresentationError("matroid file needs a 'presentation'")
@@ -44,8 +46,8 @@ def ginvariant_to_json(g: GInvariant) -> dict:
 
 def ginvariant_from_json(doc: dict) -> GInvariant:
     try:
-        coeffs = {str(k): int(v) for k, v in doc["coeffs"].items()}
-        return GInvariant(int(doc["n"]), int(doc["r"]), coeffs)
+        coeffs = {str(k): json_int(v) for k, v in doc["coeffs"].items()}
+        return GInvariant(json_int(doc["n"]), json_int(doc["r"]), coeffs)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad G-invariant payload: {exc}") from exc
 
@@ -57,9 +59,9 @@ def catenary_to_json(c: CatenaryData) -> dict:
 
 def catenary_from_json(doc: dict) -> CatenaryData:
     try:
-        counts = {tuple(int(a) for a in comp): int(v)
+        counts = {tuple(map(json_int, comp)): json_int(v)
                   for comp, v in doc["counts"]}
-        return CatenaryData(int(doc["n"]), int(doc["r"]), counts)
+        return CatenaryData(json_int(doc["n"]), json_int(doc["r"]), counts)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad catenary payload: {exc}") from exc
 
@@ -78,9 +80,9 @@ def configuration_to_json(c: Configuration) -> dict:
 
 def configuration_from_json(doc: dict) -> Configuration:
     try:
-        sizes = tuple(int(node["size"]) for node in doc["nodes"])
-        ranks = tuple(int(node["rank"]) for node in doc["nodes"])
-        covers = [(int(i), int(j)) for i, j in doc["covers"]]
+        sizes = tuple(json_int(node["size"]) for node in doc["nodes"])
+        ranks = tuple(json_int(node["rank"]) for node in doc["nodes"])
+        covers = [(json_int(i), json_int(j)) for i, j in doc["covers"]]
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise PresentationError(f"bad configuration payload: {exc}") from exc
     try:
@@ -109,7 +111,7 @@ def deck_from_json(doc: dict) -> Deck:
         role = doc["role"]
         entries = []
         for item in doc["entries"]:
-            mult = int(item.get("multiplicity", 1))
+            mult = json_int(item.get("multiplicity", 1))
             if role == "rank-k":
                 pair = (ginvariant_from_json(item["restriction"]),
                         ginvariant_from_json(item["contraction"]))

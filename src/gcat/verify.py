@@ -15,10 +15,10 @@ from . import parameters as params
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError
 from .freeproduct import detect_free_product
-from .ginvariant import (GInvariant, basis_count, catenary, catenary_from_g,
-                         g_brute_force, g_from_catenary, g_invariant,
-                         invariant_copies, oracle_limit, tutte_brute_force,
-                         tutte_from_g)
+from .ginvariant import (DEFAULT_ORACLE_LIMIT, GInvariant, basis_count,
+                         catenary, catenary_from_g, g_brute_force,
+                         g_from_catenary, g_invariant, invariant_copies,
+                         tutte_brute_force, tutte_from_g)
 from .matroid import Matroid, elements_of
 from .reconstruction import (circuit_deck, circuit_deck_reconstruct,
                              copoint_deck, rank_deck,
@@ -61,7 +61,8 @@ def dc_sum_check(m: Matroid) -> bool | str:
     return True
 
 
-def run_verify(m: Matroid, deep: bool = False, limit: int | None = None):
+def run_verify(m: Matroid, deep: bool = False,
+               limit: int = DEFAULT_ORACLE_LIMIT):
     """Run the identity suite; returns (all_passed, list of check records)."""
     checks = []
 
@@ -79,7 +80,6 @@ def run_verify(m: Matroid, deep: bool = False, limit: int | None = None):
 
     cat = catenary(m)
     g = g_from_catenary(cat)
-    cap = oracle_limit(limit)
 
     @check("dual-involution")
     def _():
@@ -103,14 +103,14 @@ def run_verify(m: Matroid, deep: bool = False, limit: int | None = None):
     def _():
         assert basis_count(cat) == len(m.bases)
 
-    if m.n <= cap:
+    if m.n <= limit:
         @check("permutation-oracle")
         def _():
-            assert g_brute_force(m, limit=cap) == g
+            assert g_brute_force(m, limit=limit) == g
 
         @check("tutte-specialization-vs-subsets")
         def _():
-            assert tutte_from_g(g) == tutte_brute_force(m, limit=cap)
+            assert tutte_from_g(g) == tutte_brute_force(m, limit=limit)
 
     @check("slicing-at-every-rank")
     def _():

@@ -7,7 +7,7 @@ import pytest
 from gcat import cli, from_graph, g_invariant, ginvariant, uniform
 from gcat.cli import main
 from gcat.matroid import Matroid
-from gcat.reconstruction import copoint_deck, rank_deck
+from gcat.reconstruction import Deck, copoint_deck, rank_deck
 from gcat.serialization import (canonical_dumps, deck_to_json,
                                 ginvariant_to_json)
 from conftest import DATA, K4_EDGES
@@ -242,6 +242,22 @@ class TestReconstruct:
         assert out.out == "" and out.err == (
             "inconsistency: second factor has a loopy key (1,)\n")
 
+    # K4's first rank-1 and rank-2 entries both have shape (6, 3), but their
+    # restriction ranks differ; U(3,5)'s rank-1 entry has shape (5, 3)
+    @pytest.mark.parametrize("other", [
+        lambda: rank_deck(from_graph(K4_EDGES), 2).entries[0],
+        lambda: rank_deck(uniform(3, 5), 1).entries[0]],
+        ids=["mixed-restriction-ranks", "mixed-shapes"])
+    def test_rank_k_mixed_entries_is_exit_2(self, capsys, tmp_path, other):
+        first = rank_deck(from_graph(K4_EDGES), 1).entries[0]
+        path = tmp_path / "deck.json"
+        path.write_text(json.dumps(deck_to_json(
+            Deck("rank-k", (first, other())))))
+        assert main(["reconstruct", "--deck", str(path),
+                     "--role", "rank-k"]) == 2
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("inconsistency:")
+
     def test_rank_k_empty_deck(self, capsys, tmp_path):
         path = tmp_path / "deck.json"
         path.write_text(json.dumps({"role": "rank-k", "entries": []}))
@@ -376,6 +392,47 @@ class TestErrors:
             bad.write_text(json.dumps(doc))
             assert main(["ginv", str(bad)]) == 1, doc
             assert capsys.readouterr().err.startswith("error:"), doc
+
+    # each number below was truncated or reparsed by int(), and the command
+    # printed a result for the value the file does not hold
+    @pytest.mark.parametrize("command, payload", [
+        (["ginv"], {"n": 3, "r": 2, "coeffs": {"110": 6.9}}),
+        (["ginv"], {"n": 1, "r": 1, "coeffs": {"1": True}}),
+        (["ginv"], {"n": 3.5, "r": 2, "coeffs": {"110": "6"}}),
+        (["ginv"], {"n": 3, "r": True, "coeffs": {"100": "6"}}),
+        (["ginv"], {"n": 5, "r": 1, "coeffs": {"10000": "1_20"}}),
+        (["ginv"], {"n": 3, "r": 2, "coeffs": {"110": " 6 "}}),
+        (["ginv"], {"ground_set_size": 4, "presentation": {
+            "kind": "uniform", "rank": 2.5}}),
+        (["ginv"], {"ground_set_size": 4, "presentation": {
+            "kind": "paving_copoints", "rank": 2.5, "copoints": []}}),
+        (["ginv"], {"ground_set_size": 2, "presentation": {
+            "kind": "cyclic_flats", "flats": [
+                {"elements": [], "rank": 0},
+                {"elements": [0, 1], "rank": 1.5}]}}),
+        (["ginv"], {"ground_set_size": True, "presentation": {
+            "kind": "uniform", "rank": 1}}),
+        (["config-catenary"], {
+            "nodes": [{"size": 0, "rank": 0}, {"size": 3.9, "rank": 2},
+                      {"size": 3, "rank": 2}, {"size": 6, "rank": 3}],
+            "covers": [[0, 1], [0, 2], [1, 3], [2, 3]]}),
+        (["reconstruct", "--role", "copoint", "--deck"], {
+            "role": "copoint", "entries": [{
+                "invariant": {"n": 1, "r": 1, "coeffs": {"1": "1"}},
+                "multiplicity": 3.7}]})],
+        ids=["coeff-float", "coeff-bool", "n-float", "r-bool",
+             "coeff-underscore", "coeff-spaces", "uniform-rank-float",
+             "paving-rank-float", "cyclic-flat-rank-float",
+             "ground-set-size-bool", "config-size-float",
+             "deck-multiplicity-float"])
+    def test_numbers_must_be_integers(self, capsys, tmp_path, command,
+                                      payload):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(payload))
+        assert main(command + [str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+        assert "integer" in out.err
 
     def test_non_matroid_invariant_is_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad-g.json"

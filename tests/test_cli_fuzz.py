@@ -4,7 +4,9 @@ Every command runs in-process through `cli.main` on G-invariant payloads
 (n <= 7), on copoint, h-sums, circuit and rank-k decks, each mutated at a
 random place of its JSON tree or given wrong multiplicities, and on the
 matroid files of `tests/data` with fields retyped, dropped or given element
-indices in [-3, n+3].  A run must exit 0, 1 or 2, and every exit-0 output
+indices in [-3, n+3], and on the configurations of the coloop-free ones
+with node labels retyped and covers moved, reversed, dropped or duplicated.
+A run must exit 0, 1 or 2, and every exit-0 output
 must load back through its `serialization` loader; a rebuilt invariant must
 also pass the invariant check.
 """
@@ -18,13 +20,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gcat import (circuit_deck, copoint_deck, from_graph, g_invariant,
-                  rank_deck, size_grouped_copoint_deck, uniform)
+from gcat import (circuit_deck, configuration_of, copoint_deck, from_graph,
+                  g_invariant, rank_deck, size_grouped_copoint_deck, uniform)
 from gcat.cli import main
 from gcat.ginvariant import invariant_catenary
 from gcat.serialization import (catenary_from_json, configuration_from_json,
-                                deck_to_json, ginvariant_from_json,
-                                ginvariant_to_json)
+                                configuration_to_json, deck_to_json,
+                                ginvariant_from_json, ginvariant_to_json,
+                                matroid_from_json)
 from conftest import DATA, K4_EDGES, BOWTIE_EDGES, load_data
 
 MATROIDS = [uniform(2, 4), uniform(1, 3), from_graph(K4_EDGES),
@@ -37,6 +40,8 @@ DECKS = [deck_to_json(make(m)) for m in MATROIDS[:5]
                       lambda m: rank_deck(m, 1))]
 MATROID_FILES = [json.loads(path.read_text(encoding="utf-8"))
                  for path in sorted(DATA.glob("*.json"))]
+CONFIGS = [configuration_to_json(configuration_of(m))
+           for m in map(matroid_from_json, MATROID_FILES) if not m.coloops()]
 
 SMALL = st.integers(-1, 8)
 SCALARS = st.one_of(st.none(), st.booleans(), st.integers(-3, 10 ** 6),
@@ -140,6 +145,39 @@ def _mutated_matroids(draw):
 
 
 @st.composite
+def _mutated_configs(draw):
+    """A configuration of a coloop-free shipped matroid with one to three
+    edits: a node size or rank given a value of another type, a cover index
+    moved into [-3, m+3], or a cover reversed, dropped or duplicated.  Sizes
+    stay at most 64; work budgets are not fuzzed."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(CONFIGS))))
+    nodes, covers = doc["nodes"], doc["covers"]
+    index = st.integers(-3, len(nodes) + 3)
+    label = st.integers(-3, 64)
+    values = st.one_of(st.none(), st.booleans(), label, label.map(float),
+                       label.map(str), st.text(max_size=3),
+                       st.lists(label, max_size=2), st.builds(dict))
+    for _ in range(draw(st.integers(1, 3))):
+        how = draw(st.sampled_from(
+            ["retype", "index", "reverse", "drop", "duplicate"]))
+        if how == "retype":
+            node = draw(st.sampled_from(nodes))
+            node[draw(st.sampled_from(["size", "rank"]))] = draw(values)
+        elif not covers:
+            continue
+        elif how == "index":
+            cover = draw(st.sampled_from(covers))
+            cover[draw(st.integers(0, 1))] = draw(index)
+        elif how == "reverse":
+            draw(st.sampled_from(covers)).reverse()
+        elif how == "drop":
+            covers.remove(draw(st.sampled_from(covers)))
+        else:
+            covers.append(list(draw(st.sampled_from(covers))))
+    return doc
+
+
+@st.composite
 def _random_invariants(draw):
     n = draw(st.integers(0, 7))
     r = draw(st.integers(0, n))
@@ -179,7 +217,7 @@ def _check_output(command, text):
         (key, val), = doc.items()
         assert isinstance(val, bool) if key == "has_spanning_circuit" \
             else int(val) >= 0
-    elif command == "catenary":
+    elif command in ("catenary", "config-catenary"):
         catenary_from_json(doc)
     elif command == "config":
         configuration_from_json(doc)
@@ -242,3 +280,9 @@ def test_reconstruct_wrong_multiplicities(tmp, payload):
        command=st.sampled_from(["catenary", "config", "verify"]))
 def test_matroid_commands(tmp, payload, command):
     _run(tmp, payload, command, [])
+
+
+@settings(derandomize=True, deadline=None, max_examples=150)
+@given(payload=_mutated_configs())
+def test_config_catenary(tmp, payload):
+    _run(tmp, payload, "config-catenary", [])

@@ -12,6 +12,7 @@ from gcat import (CatenaryData, Deck, ExactnessError, GInvariant,
                   rank_deck,
                   reconstruct_from_copoint_deck, recover_n,
                   size_grouped_copoint_deck, slice_assemble, uniform)
+from gcat.ginvariant import invariant_copies
 from conftest import load_data
 
 
@@ -141,13 +142,36 @@ class TestCopointDeck:
             assert reconstruct_from_copoint_deck(
                 size_grouped_copoint_deck(m)) == g, name
 
+    def test_rebuilds_pass_the_total_check(self, corpus, monkeypatch):
+        # the last total the rebuild checks is its own output's, against 1
+        # copy of n!
+        checked = []
+
+        def recording(g, copies=1):
+            checked.append((g, copies))
+            return invariant_copies(g, copies)
+        monkeypatch.setattr(gcat.reconstruction, "invariant_copies", recording)
+        for name, m in corpus:
+            if m.r < 2 or m.n > 6:
+                continue
+            for deck in (copoint_deck(m), size_grouped_copoint_deck(m)):
+                g = reconstruct_from_copoint_deck(deck)
+                assert checked[-1][0] is g and checked[-1][1] == 1, name
+
     def test_loop_count_consistency_guard(self):
-        # one loopy entry among loopless ones must be rejected
+        # a loopy entry of another rank fails the rank check; two points and
+        # a point with two loops pass recover_n (n = 4), but the rebuilt
+        # keys start with 0 and with 2 loops
         good = g_invariant(uniform(2, 3))
-        bad = g_invariant(uniform(2, 3).add_loop().truncate().lift())
         deck = Deck("copoint", ((good, 2), (g_invariant(
             uniform(1, 2).add_loop()), 1)))
-        with pytest.raises(ExactnessError):
+        with pytest.raises(ExactnessError, match="mixed ranks"):
+            reconstruct_from_copoint_deck(deck)
+        point = g_invariant(uniform(1, 1))
+        loopy = g_invariant(uniform(1, 1).add_loop().add_loop())
+        deck = Deck("copoint", ((point, 2), (loopy, 1)))
+        assert recover_n(deck) == 4
+        with pytest.raises(ExactnessError, match="loop counts"):
             reconstruct_from_copoint_deck(deck)
 
 
@@ -216,6 +240,13 @@ class TestGirthDeck:
         deck = girth_deck(uniform(2, 3), 1)
         with pytest.raises(ValueError):
             girth_deck_reconstruct(deck, 1, 5)
+
+    def test_mixed_shapes_rejected(self, named):
+        # M(K4)/e has shape (5, 2) and U(2,4) shape (4, 2)
+        deck = girth_deck(named["M(K4)"], 1)
+        entries = deck.entries + ((g_invariant(uniform(2, 4)), 1),)
+        with pytest.raises(ExactnessError, match="mixed shapes"):
+            girth_deck_reconstruct(Deck(deck.role, entries), 1, 6)
 
     # K4's deck is one entry M(K4)/e x 6.  Doubled, it totals 2 * 5!; one
     # more copy rebuilds a vector totalling 840, not 6!; doubled and half as
