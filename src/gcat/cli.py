@@ -19,9 +19,8 @@ from . import serialization as ser
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
-from .ginvariant import (DEFAULT_ORACLE_LIMIT, CatenaryData, GInvariant,
-                         catenary, g_from_catenary, invariant_catenary,
-                         tutte_from_g)
+from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum, catenary,
+                         g_from_catenary, invariant_catenary, tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
@@ -49,7 +48,7 @@ OPS = {
     "freecoext": (1, (), _on_g(cons.g_free_coextension)),
     "relax": (1, (), _on_g(cons.g_relax)),
     "qcone": (1, ("q",), _qcone),
-    "sum": (2, (), _on_g(cons.g_shuffle)),
+    "sum": (2, (), lambda a, b: g_from_catenary(cat_direct_sum(a[1], b[1]))),
     "freeproduct": (2, (), _on_g(cons.g_free_product)),
 }
 
@@ -140,8 +139,6 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="gcat",
         description="G-invariant, catenary data, and Tutte polynomial of "
                     "explicitly presented matroids")
-    top.add_argument("--oracle-limit", type=int, default=DEFAULT_ORACLE_LIMIT,
-                     help="brute-force oracle cap (default %(default)s)")
     sub = top.add_subparsers(dest="command", required=True)
 
     def command(name, run, summary):
@@ -204,7 +201,7 @@ def _reconstruct(args) -> int:
 def _verify(args) -> int:
     doc = _load_json(args.file)
     m = ser.matroid_from_json(doc)
-    passed, checks = run_verify(m, deep=args.deep, limit=args.oracle_limit)
+    passed, checks = run_verify(m, deep=args.deep)
     _emit({"matroid": doc.get("name"), "n": m.n, "r": m.r,
            "deep": args.deep, "passed": passed, "checks": checks})
     return 0 if passed else 2

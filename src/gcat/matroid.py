@@ -15,9 +15,9 @@ paving, Dowling) knows how many copoints it has of each size, which fixes
 its catenary data (the census theorem), so `catenary` walks no flats for
 it; no derived matroid carries that census.  Each presentation but a basis
 family is a matroid by construction, so only `from_bases` checks basis
-exchange.  The bases are built only when read (equality, the top-symbol
-check, an asked-for exchange check).  Everything here is desk-scale and exact; these matroids double as
-ground-truth oracles for the invariant-level machinery.
+exchange, on every family.  The bases are built only when read (equality,
+the top-symbol check).  Everything here is desk-scale and exact; these
+matroids double as ground-truth oracles for the invariant-level machinery.
 """
 
 from __future__ import annotations
@@ -27,10 +27,6 @@ import math
 from collections import Counter
 
 from .errors import PresentationError, json_int
-
-# from_bases checks basis exchange by default up to this many elements; above
-# it, pass validate=True explicitly (|B|·r bitset ORs over the bases).
-VALIDATE_LIMIT = 12
 
 
 def mask_of(elements) -> int:
@@ -579,12 +575,8 @@ def _check_group_table(table) -> list[list[int]]:
     for j in range(m):
         if {row[j] for row in t} != rng:
             raise PresentationError("group table columns must be permutations")
-    identity = None
-    for e in range(m):
-        if all(t[e][x] == x and t[x][e] == x for x in range(m)):
-            identity = e
-            break
-    if identity is None:
+    if not any(all(t[e][x] == x and t[x][e] == x for x in range(m))
+               for e in range(m)):
         raise PresentationError("group table has no identity element")
     for a in range(m):
         for b in range(m):
@@ -617,11 +609,10 @@ def dowling3(table) -> Matroid:
     return from_paving_copoints(3 + 3 * m, 3, lines)
 
 
-def from_bases(n: int, bases, *, validate: bool | None = None) -> Matroid:
+def from_bases(n: int, bases) -> Matroid:
     """The matroid of a basis family, kept as given; a set ranks as its
     largest intersection with a basis.  Only this input can break basis
-    exchange, so it is checked when `validate` is true and, when it is
-    None, up to VALIDATE_LIMIT elements."""
+    exchange, so every family is checked (|B|·r bitset ORs)."""
     bases = frozenset(b if isinstance(b, int) else mask_of(b) for b in bases)
     if not bases:
         raise PresentationError("a matroid needs at least one basis")
@@ -632,29 +623,37 @@ def from_bases(n: int, bases, *, validate: bool | None = None) -> Matroid:
         raise PresentationError("basis uses elements outside the ground set")
     m = Matroid(n, _basis_scan(bases))
     m._bases = bases
-    if validate or (validate is None and n <= VALIDATE_LIMIT):
-        m._check_exchange()
+    m._check_exchange()
     return m
 
 
-# presentation kind -> (needs ground_set_size, builder(record, n, validate))
+def _indices(value) -> list[int]:
+    """A file's index list: JSON integers >= 0, no bool, and no bare
+    integer, which a builder would read as a bitmask."""
+    if type(value) is not list or any(type(e) is not int or e < 0 for e in value):
+        raise PresentationError(f"{value!r} is not a list of indices")
+    return value
+
+
+# presentation kind -> (needs ground_set_size, builder(record, n)); every
+# element, vertex and group-element list in a file is read by `_indices`
 _PRESENTATIONS = {
-    "bases": (True, lambda p, n, v: from_bases(n, p["bases"], validate=v)),
-    "uniform": (True, lambda p, n, v: uniform(json_int(p["rank"]), n)),
-    "graph": (False, lambda p, n, v: from_graph(p["edges"])),
-    "paving_copoints": (True, lambda p, n, v: from_paving_copoints(
-        n, json_int(p["rank"]), p["copoints"])),
-    "cyclic_flats": (True, lambda p, n, v: from_cyclic_flats(
-        n, [(f["elements"], json_int(f["rank"])) for f in p["flats"]])),
-    "dowling3": (False, lambda p, n, v: dowling3(p["group_table"])),
+    "bases": (True, lambda p, n: from_bases(n, map(_indices, p["bases"]))),
+    "uniform": (True, lambda p, n: uniform(json_int(p["rank"]), n)),
+    "graph": (False, lambda p, n: from_graph(map(_indices, p["edges"]))),
+    "paving_copoints": (True, lambda p, n: from_paving_copoints(
+        n, json_int(p["rank"]), map(_indices, p["copoints"]))),
+    "cyclic_flats": (True, lambda p, n: from_cyclic_flats(n, [
+        (_indices(f["elements"]), json_int(f["rank"])) for f in p["flats"]])),
+    "dowling3": (False, lambda p, n: dowling3(
+        list(map(_indices, p["group_table"])))),
 }
 
 
-def build_matroid(presentation: dict, n: int | None = None,
-                  validate: bool | None = None) -> Matroid:
+def build_matroid(presentation: dict, n: int | None = None) -> Matroid:
     """Build a matroid from a presentation record (the JSON payload shape).
-    `validate` true checks basis exchange on any kind, false on none; None
-    leaves it to `from_bases`, the one builder whose input can fail it."""
+    A `ground_set_size` given with a graph or Dowling presentation must be
+    the size that presentation builds."""
     if not isinstance(presentation, dict) or "kind" not in presentation:
         raise PresentationError("presentation must be a dict with a 'kind'")
     kind = presentation["kind"]
@@ -665,11 +664,12 @@ def build_matroid(presentation: dict, n: int | None = None,
     if sized and n is None:
         raise PresentationError("ground_set_size is required")
     try:
-        m = build(presentation, n, validate)
+        m = build(presentation, n)
     except KeyError as exc:
         raise PresentationError(f"presentation is missing field {exc}") from exc
     except TypeError as exc:
         raise PresentationError(f"malformed presentation: {exc}") from exc
-    if validate and kind != "bases":  # from_bases has checked it
-        m._check_exchange()
+    if n is not None and m.n != n:
+        raise PresentationError(f"ground_set_size {n} is not the {m.n} "
+                                f"elements of the {kind} presentation")
     return m

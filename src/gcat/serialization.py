@@ -31,10 +31,7 @@ def matroid_from_json(doc: dict) -> Matroid:
     pres = doc.get("presentation")
     if pres is None:
         raise PresentationError("matroid file needs a 'presentation'")
-    validate = doc.get("validate")
-    if validate is not None and not isinstance(validate, bool):
-        raise PresentationError("'validate' must be true, false or null")
-    return build_matroid(pres, n=n, validate=validate)
+    return build_matroid(pres, n=n)
 
 
 # -- invariants ----------------------------------------------------------------

@@ -9,6 +9,7 @@ free-product agreement, relaxation deltas).
 from __future__ import annotations
 
 import math
+from functools import cache
 
 from . import constructions as cons
 from . import parameters as params
@@ -61,9 +62,9 @@ def dc_sum_check(m: Matroid) -> bool | str:
     return True
 
 
-def run_verify(m: Matroid, deep: bool = False,
-               limit: int = DEFAULT_ORACLE_LIMIT):
-    """Run the identity suite; returns (all_passed, list of check records)."""
+def run_verify(m: Matroid, deep: bool = False):
+    """Run the identity suite; returns (all_passed, list of check records).
+    The brute-force oracles run when n <= DEFAULT_ORACLE_LIMIT."""
     checks = []
 
     def check(name):
@@ -103,19 +104,23 @@ def run_verify(m: Matroid, deep: bool = False,
     def _():
         assert basis_count(cat) == len(m.bases)
 
-    if m.n <= limit:
+    if m.n <= DEFAULT_ORACLE_LIMIT:
         @check("permutation-oracle")
         def _():
-            assert g_brute_force(m, limit=limit) == g
+            assert g_brute_force(m) == g
 
         @check("tutte-specialization-vs-subsets")
         def _():
-            assert tutte_from_g(g) == tutte_brute_force(m, limit=limit)
+            assert tutte_from_g(g) == tutte_brute_force(m)
+
+    # each rank's slicing sum, shared by the checks; a raise is not cached,
+    # so each check that asks records it under its own name
+    slice_at = cache(lambda k: slice_assemble(rank_deck(m, k), k))
 
     @check("slicing-at-every-rank")
     def _():
         for k in range(m.r + 1):
-            assert slice_assemble(rank_deck(m, k), k) == g, f"rank {k}"
+            assert slice_at(k) == g, f"rank {k}"
 
     if m.r >= 2:
         @check("copoint-deck-roundtrip")
@@ -227,8 +232,7 @@ def run_verify(m: Matroid, deep: bool = False,
         def _():
             total = {}
             for k in range(m.r + 1):
-                part = slice_assemble(rank_deck(m, k), k)
-                for key, c in part.coeffs.items():
+                for key, c in slice_at(k).coeffs.items():
                     total[key] = total.get(key, 0) + c
             assert all(v % (m.r + 1) == 0 for v in total.values())
             scaled = {key: v // (m.r + 1) for key, v in total.items()}

@@ -6,10 +6,10 @@ import pytest
 
 from gcat import cli, from_graph, g_invariant, ginvariant, uniform
 from gcat.cli import main
-from gcat.matroid import Matroid
 from gcat.reconstruction import Deck, copoint_deck, rank_deck
 from gcat.serialization import (canonical_dumps, deck_to_json,
                                 ginvariant_to_json)
+from gcat.verify import run_verify
 from conftest import DATA, K4_EDGES
 
 
@@ -51,18 +51,16 @@ class TestGinv:
         assert code == 0
         assert json.loads(out)["coeffs"] == {"110": "6"}
 
-    def test_validate_true_checks_a_graph_once(self, capsys, tmp_path,
-                                               monkeypatch):
-        _, plain = run(capsys, "ginv", data("k4"))
-        calls = []
-        check = Matroid._check_exchange
-        monkeypatch.setattr(Matroid, "_check_exchange",
-                            lambda m: calls.append(m) or check(m))
-        path = tmp_path / "k4.json"
-        path.write_text(json.dumps(
-            dict(json.loads(data("k4").read_text()), validate=True)))
-        code, out = run(capsys, "ginv", path)
-        assert (code, out, len(calls)) == (0, plain, 1)
+    def test_every_basis_family_is_exchange_checked(self, capsys, tmp_path):
+        # no size exempts a family that is not a matroid
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"ground_set_size": 13, "presentation": {
+            "kind": "bases", "bases": [[0, 1], [2, 3]]}}))
+        assert main(["ginv", str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == ("error: basis-exchange fails for [0, 1], [2, 3] "
+                           "at element 0\n")
 
     def test_determinism(self, capsys):
         _, first = run(capsys, "ginv", data("fig2-m1"))
@@ -334,11 +332,11 @@ class TestVerify:
             assert code == 0, (name, out)
             assert json.loads(out)["passed"] is True
 
-    def test_oracle_limit_flag_skips_brute_force(self, capsys):
-        code, out = run(capsys, "--oracle-limit", 2, "verify", data("u23"))
-        assert code == 0
-        names = {c["name"] for c in json.loads(out)["checks"]}
-        assert "permutation-oracle" not in names
+    def test_no_brute_force_above_the_oracle_cap(self):
+        assert ginvariant.DEFAULT_ORACLE_LIMIT < 10
+        passed, checks = run_verify(uniform(2, 10))
+        assert passed
+        assert "permutation-oracle" not in {c["name"] for c in checks}
 
 
 class TestErrors:
@@ -364,13 +362,37 @@ class TestErrors:
             "kind": "bases", "bases": [[0], [0, 1]]}}))
         assert main(["ginv", str(bad)]) == 1
 
+    # a "validate" field is ignored, as "name" is
     @pytest.mark.parametrize("flag", ["false", "true", 0, 1, []])
-    def test_validate_must_be_a_json_boolean(self, capsys, tmp_path, flag):
+    def test_validate_field_is_ignored(self, capsys, tmp_path, flag):
+        _, plain = run(capsys, "ginv", data("k4"))
+        path = tmp_path / "k4.json"
+        path.write_text(json.dumps(dict(json.loads(data("k4").read_text()),
+                                        validate=flag)))
+        assert run(capsys, "ginv", path) == (0, plain)
+
+    # each payload was read as some other matroid and printed its invariant
+    @pytest.mark.parametrize("doc", [
+        {"ground_set_size": 3, "presentation": {
+            "kind": "bases", "bases": [[True, 2], [0, 2]]}},
+        {"presentation": {"kind": "graph",
+                          "edges": [[0, 1], [1, True], [0, 2]]}},
+        {"presentation": {"kind": "dowling3",
+                          "group_table": [[0, True], [True, 0]]}},
+        {"ground_set_size": 4, "presentation": {
+            "kind": "paving_copoints", "rank": 2, "copoints": [7]}},
+        {"ground_set_size": 9, "presentation": {
+            "kind": "graph", "edges": [[0, 1], [1, 2], [0, 2]]}},
+        {"ground_set_size": 6, "presentation": {
+            "kind": "dowling3", "group_table": [[0, 1], [1, 0]]}},
+    ], ids=["bases-bool", "graph-bool", "dowling-bool", "copoint-bare-int",
+            "graph-size", "dowling-size"])
+    def test_payload_read_as_another_matroid(self, capsys, tmp_path, doc):
         bad = tmp_path / "bad.json"
-        bad.write_text(json.dumps(dict(json.loads(data("k4").read_text()),
-                                       validate=flag)))
+        bad.write_text(json.dumps(doc))
         assert main(["ginv", str(bad)]) == 1
-        assert "'validate'" in capsys.readouterr().err
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
 
     def test_presentation_fields_of_the_wrong_type(self, capsys, tmp_path):
         docs = [

@@ -490,13 +490,14 @@ class TestMatroidByConstruction:
         catenary(m)
         assert m._bases is None
 
-    def test_only_from_bases_takes_validate(self):
-        for build in (lambda: uniform(2, 4, validate=True),
+    def test_no_builder_takes_validate(self):
+        # from_bases checks every family; no switch turns the check off
+        for build in (lambda: from_bases(4, [0b0011, 0b1100], validate=False),
+                      lambda: uniform(2, 4, validate=True),
                       lambda: from_graph(K4_EDGES, validate=True),
                       lambda: dowling3([[0]], validate=True)):
             with pytest.raises(TypeError):
                 build()
-        from_bases(4, [0b0011, 0b1100], validate=False)  # not a matroid
 
 
 def _pairwise_exchange(n, bases):
@@ -553,7 +554,7 @@ class TestExchangeCheck:
     def test_column_check_is_the_pairwise_scan(self, drawn):
         n, family = drawn
         if family:
-            assert _outcome(lambda: from_bases(n, family, validate=True)) \
+            assert _outcome(lambda: from_bases(n, family)) \
                 == _outcome(lambda: _pairwise_exchange(n, frozenset(family)))
 
     @pytest.mark.parametrize("n, family, message", [
@@ -567,7 +568,7 @@ class TestExchangeCheck:
         # several stubs fail; the message names the first b1 in the order
         # of the bases, then its first missed b2, then the first x
         with pytest.raises(PresentationError) as exc:
-            from_bases(n, family, validate=True)
+            from_bases(n, family)
         assert str(exc.value) == message
 
 
