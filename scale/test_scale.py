@@ -39,6 +39,16 @@ def test_k9_flags_and_spanning_trees():
     assert catenary_from_g(g) == c
 
 
+def test_k10_flags_and_spanning_trees():
+    # 115,975 flats walked with covers listed by the graph; G(K10) is not
+    # expanded here
+    c = catenary(complete(10))
+    assert (c.n, c.r) == (45, 9)
+    assert c.total() == 2_571_912_000
+    assert c.total() == math.factorial(10) * math.factorial(9) // 2 ** 9
+    assert basis_count(c) == 10 ** 8
+
+
 def test_k5_k6_free_product_detect_then_rebuild():
     left, right = g_invariant(complete(5)), g_invariant(complete(6))
     g = g_free_product(left, right)

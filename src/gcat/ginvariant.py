@@ -253,15 +253,16 @@ def gamma_one(a: tuple) -> int:
 
 def catenary(m: Matroid) -> CatenaryData:
     """Flag counts by composition: the copoint census of a paving
-    presentation, else the flag walk of the coloop-free core.
+    presentation, else the flag walk below the coloops.
 
     A paving matroid of rank >= 2 has its catenary data fixed by its count
     of copoints of each size (`paving_catenary`), so a presentation holding
     that census walks nothing.  A matroid with k coloops is its deletion of
-    them plus U(k,k), with the one key (0, 1, ..., 1) of k! flags.  So the
-    coloops are split off, the rest is walked by `_flag_walk`, and they are
+    them plus U(k,k), with the one key (0, 1, ..., 1) of k! flags, and the
+    flats of that deletion are the flats of m inside E - coloops.  So
+    `_flag_walk` walks that interval of m itself, and the coloops are
     shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
-    copies of the core's flat lattice that they would multiply it into.
+    copies of the interval that they would multiply it into.
     """
     if m.copoint_sizes is not None:
         return paving_catenary(m.n, m.r, m.copoint_sizes)
@@ -270,26 +271,31 @@ def catenary(m: Matroid) -> CatenaryData:
         return _flag_walk(m)
     k = coloops.bit_count()
     free = CatenaryData(k, k, {(0,) + (1,) * k: math.factorial(k)})
-    return cat_direct_sum(_flag_walk(m.delete(coloops)), free)
+    return cat_direct_sum(_flag_walk(m, m.full & ~coloops), free)
 
 
-def _flag_walk(m: Matroid) -> CatenaryData:
-    """Flag counts by composition, by a walk up the flats rank by rank.
+def _flag_walk(m: Matroid, top: int | None = None) -> CatenaryData:
+    """Flag counts by composition of the flats of m inside the flat `top`
+    (E by default), by a walk up from the bottom flat rank by rank.
 
-    A composition is its set of partial sums s_0 < s_1 < ... < s_r = n, so
-    a chain from the bottom flat up to a flat is keyed by the bitmask of
+    A composition is its set of partial sums s_0 < s_1 < ... < s_r = |top|,
+    so a chain from the bottom flat up to a flat is keyed by the bitmask of
     its flat sizes, and a cover C extends the key by 1 << |C|.  Each
     rank-k flat carries a dict from keys to chain counts; the covers of
-    the rank-k flats, from `Matroid.covers`, extend them to rank k+1.  Only
-    two ranks of dicts are held at a time, and the top flat's keys are
-    decoded into compositions once, at the end.
+    the rank-k flats inside top, from `Matroid.covers`, extend them to
+    rank k+1.  Only two ranks of dicts are held at a time, and the top
+    flat's keys are decoded into compositions once, at the end.
     """
+    if top is None:
+        top, rank = m.full, m.r
+    else:
+        rank = m.rank(top)
     bottom = m.closure(0)
     level = {bottom: {1 << bottom.bit_count(): 1}}
-    for _ in range(m.r):
+    for _ in range(rank):
         above: dict[int, dict[int, int]] = {}
         for flat, keys in level.items():
-            for cov in m.covers(flat):
+            for cov in m.covers(flat, top):
                 bit = 1 << cov.bit_count()
                 if (acc := above.get(cov)) is None:
                     above[cov] = {key | bit: cnt for key, cnt in keys.items()}
@@ -299,34 +305,55 @@ def _flag_walk(m: Matroid) -> CatenaryData:
                         acc[key] = acc.get(key, 0) + cnt
         level = above
     counts = {}
-    for key, cnt in level[m.full].items():
+    for key, cnt in level[top].items():
         s = elements_of(key)
         counts[(s[0], *(b - a for a, b in itertools.pairwise(s)))] = cnt
-    return CatenaryData(m.n, m.r, counts)
+    return CatenaryData(top.bit_count(), rank, counts)
 
 
-def _shuffles(a: tuple, b: tuple):
-    """All interleavings of two tuples, with the position sets of a."""
-    m, n = len(a), len(b)
-    for pos in itertools.combinations(range(m + n), m):
-        out = [None] * (m + n)
-        ai = iter(a)
-        for p in pos:
-            out[p] = next(ai)
-        bi = iter(b)
-        for i in range(m + n):
-            if out[i] is None:
-                out[i] = next(bi)
-        yield tuple(out)
+def _interleavings(a: tuple, b: tuple) -> dict[tuple, int]:
+    """Each interleaving of the tuples a and b, with how many position sets
+    of a give it.
+
+    Built one part at a time: a state is (i, s), the interleavings of a[:i]
+    and b[:j] that spell the prefix s, for the j that fills it.  Position
+    sets that reach one state share every continuation, so they merge into
+    one state with the sum of their counts.  Once a or b is spent the rest
+    is forced, so the state is finished at once.  Only one length of
+    prefixes is held at a time, and nothing recurses.
+    """
+    p, q = len(a), len(b)
+    out: dict[tuple, int] = {}
+    level, d = {(0, ()): 1}, 0
+    while level:
+        above: dict[tuple, int] = {}
+        for (i, s), w in level.items():
+            j = d - i
+            if i == p or j == q:
+                key = s + a[i:] + b[j:]
+                out[key] = out.get(key, 0) + w
+                continue
+            for key in ((i + 1, s + a[i:i + 1]), (i, s + b[j:j + 1])):
+                above[key] = above.get(key, 0) + w
+        level, d = above, d + 1
+    return out
 
 
 def cat_direct_sum(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
-    """Catenary data of a direct sum: shuffle the positive parts, add loops."""
-    counts: Counter = Counter()
+    """Catenary data of a direct sum: shuffle the positive parts, add loops.
+
+    A flag of the sum interleaves a flag of each side, so each pair of keys
+    gives every interleaving of their positive parts, each weighted by its
+    number of position sets (`_interleavings`), so that repeated parts are
+    merged rather than listed once per position set.
+    """
+    counts: dict[tuple, int] = {}
     for a, x in c1.counts.items():
         for b, y in c2.counts.items():
-            for s in _shuffles(a[1:], b[1:]):
-                counts[(a[0] + b[0],) + s] += x * y
+            loops = a[0] + b[0]
+            for s, w in _interleavings(a[1:], b[1:]).items():
+                key = (loops, *s)
+                counts[key] = counts.get(key, 0) + w * x * y
     return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)
 
 

@@ -6,18 +6,23 @@ for a graph, min(|X|, r) for a uniform matroid, copoint containment for a
 paving matroid, the min-formula for cyclic flats, and, for a matroid given
 by its bases, the largest intersection with a basis.  A derived matroid
 (minor, dual, truncation, extension, relaxation, sum, product) ranks through
-a transform of its parents' rank, so it keeps them alive.  Closure, from
-which covers and flats are built, comes from the presentation where one
-supplies it: graph, uniform, paving, Dowling and cyclic-flat matroids, and a
-minor of any of these.  Every other matroid closes a set by one rank call
-per element outside it.  A paving presentation of rank r >= 2 (uniform,
-paving, Dowling) knows how many copoints it has of each size, which fixes
-its catenary data (the census theorem), so `catenary` walks no flats for
-it; no derived matroid carries that census.  Each presentation but a basis
-family is a matroid by construction, so only `from_bases` checks basis
-exchange, on every family.  The bases are built only when read (equality,
-the top-symbol check).  Everything here is desk-scale and exact; these
-matroids double as ground-truth oracles for the invariant-level machinery.
+a transform of its parents' rank, so it keeps them alive; only a minor of a
+graph is built afresh, as a graph.  Closure comes from the presentation
+where one supplies it: graph, uniform, paving, Dowling and cyclic-flat
+matroids, and a minor of any of these.  Every other matroid closes a set by
+one rank call per element outside it.  The covers of a flat, from which the
+flats and the flag walk are built, cost one closure each, except where the
+presentation lists them: a graph reads every cover of a flat off one
+union-find of its components, so its walk stores no closure.  `catenary`
+walks the flats below the coloops in place, with no minor built.  A paving
+presentation of rank r >= 2 (uniform, paving, Dowling) knows how many
+copoints it has of each size, which fixes its catenary data (the census
+theorem), so `catenary` walks no flats for it; no derived matroid carries
+that census.  Each presentation but a basis family is a matroid by
+construction, so only `from_bases` checks basis exchange, on every family.
+The bases are built only when read (equality, the top-symbol check).
+Everything here is desk-scale and exact; these matroids double as
+ground-truth oracles for the invariant-level machinery.
 """
 
 from __future__ import annotations
@@ -59,6 +64,9 @@ class Matroid:
 
     `rank_of` maps a bitmask to its rank; `r` is the rank of the ground set.
     `closure_of`, when given, maps a bitmask to its closure without ranking.
+    `covers_of`, when given, maps a set x and elements `rest` outside cl(x)
+    to the set of closures cl(x + e), e in rest, without closing each.
+    `minor_of`, when given, maps (contract, delete) to the minor.
     `copoint_sizes`, when given, maps each copoint size of a paving matroid
     of rank >= 2 to the number of copoints of that size.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
@@ -68,15 +76,17 @@ class Matroid:
     """
 
     __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
-                 "copoint_sizes", "_rank_cache", "_flats_by_rank",
-                 "_circuits", "_closure_cache")
+                 "_covers_of", "_minor_of", "copoint_sizes", "_rank_cache",
+                 "_flats_by_rank", "_circuits", "_closure_cache")
 
-    def __init__(self, n: int, rank_of, *, closure_of=None,
-                 copoint_sizes=None):
+    def __init__(self, n: int, rank_of, *, closure_of=None, covers_of=None,
+                 minor_of=None, copoint_sizes=None):
         self.n = n
         self.full = (1 << n) - 1
         self._rank_of = rank_of
         self._closure_of = closure_of
+        self._covers_of = covers_of
+        self._minor_of = minor_of
         self.copoint_sizes = copoint_sizes
         self.r = rank_of(self.full)
         self._bases = None
@@ -171,14 +181,18 @@ class Matroid:
 
     # -- flats -----------------------------------------------------------
 
-    def covers(self, flat: int) -> set[int]:
-        """The flats covering `flat`: cl(flat + e) for each e outside it.
+    def covers(self, flat: int, top: int | None = None) -> set[int]:
+        """The flats covering `flat` inside the flat `top` (E by default):
+        cl(flat + e) for each e in top outside `flat`.
 
-        The covers partition the elements outside `flat`, so an element
+        A presentation that lists covers (`covers_of`) gives them at once.
+        Otherwise they partition the elements outside `flat`, so an element
         already inside a cover found here needs no closure of its own.
         """
+        rest = (self.full if top is None else top) & ~flat
+        if self._covers_of is not None:
+            return self._covers_of(flat, rest)
         found = set()
-        rest = self.full & ~flat
         while rest:
             low = rest & -rest
             cov = self.closure(flat | low)
@@ -266,10 +280,16 @@ class Matroid:
         cl_M(X | contract) less contract and delete, mapped back.  A closure
         M already holds is read from M's cache (sibling minors, such as a
         deck's, share M's walk); any other comes from M's uncached closure
-        and is stored in the minor alone, never copied into M.
+        and is stored in the minor alone, never copied into M.  A
+        presentation that builds its own minors (`minor_of`) does so: a
+        graph's minor is the graph with each contracted edge's ends merged
+        and the deleted edges gone, which ranks, closes and lists its
+        covers as any graph does.
         """
         if contract & delete:
             raise ValueError("contract and delete sets overlap")
+        if self._minor_of is not None:
+            return self._minor_of(contract, delete)
         remain = self.full & ~(contract | delete)
         keep = [1 << e for e in elements_of(remain)]
         rank, rc = self.rank, self.rank(contract)
@@ -409,7 +429,10 @@ def from_graph(edges) -> Matroid:
     The rank of an edge set is the number of union-find merges it makes,
     the size of its largest forest: the cycle matroid's rank, so a matroid.
     Its closure is every edge whose ends lie in one component: the loops,
-    and each edge incident to two vertices of one merged component.
+    and each edge incident to two vertices of one merged component.  Each
+    edge outside the closure joins two components, and the cover it spans
+    gains every edge between them, so one union-find lists every cover.
+    A minor is the graph with the contracted edges' ends merged.
     """
     edges = [tuple(e) for e in edges]
     index = {v: i for i, v in enumerate(sorted({v for e in edges for v in e}))}
@@ -425,7 +448,8 @@ def from_graph(edges) -> Matroid:
             incident[v] |= 1 << i
 
     def merge(x):
-        """Union-find over the edges of x: the parent array, merge count."""
+        """Union-find over the edges of x, each root the least vertex of
+        its component: the parent array, merge count."""
         parent = list(range(nverts))
         merges = 0
         while x:
@@ -437,27 +461,53 @@ def from_graph(edges) -> Matroid:
             while parent[v] != v:
                 parent[v] = v = parent[parent[v]]
             if u != v:
-                parent[u] = v
+                if u < v:
+                    parent[v] = u
+                else:
+                    parent[u] = v
                 merges += 1
         return parent, merges
 
     def rank_of(x):
         return merge(x)[1]
 
-    def closure_of(x):
-        parent, _ = merge(x)
-        # an edge met at two vertices of one component lies inside it
-        seen = [0] * nverts
-        out = loops
-        for v in range(nverts):
-            root = v
-            while parent[root] != root:
-                root = parent[root]
-            out |= seen[root] & incident[v]
-            seen[root] |= incident[v]
-        return out
+    def components(x):
+        """The root of each vertex under the edges of x, the edges met at
+        each root's component, and the closure of x."""
+        roots, _ = merge(x)
+        met, closed = [0] * nverts, loops
+        for v, up in enumerate(roots):
+            # a parent is never above its vertex, so its root is known
+            root = roots[v] = roots[up]
+            # an edge met at two vertices of one component lies inside it
+            closed |= met[root] & incident[v]
+            met[root] |= incident[v]
+        return roots, met, closed
 
-    return Matroid(len(edges), rank_of, closure_of=closure_of)
+    def closure_of(x):
+        return components(x)[2]
+
+    def covers_of(x, rest):
+        # an edge outside cl(x) joins two of its components, and the cover
+        # it spans gains every edge between those two
+        roots, met, closed = components(x)
+        found = set()
+        while rest:
+            u, v = ends[(rest & -rest).bit_length() - 1]
+            between = met[roots[u]] & met[roots[v]]
+            found.add(closed | between)
+            rest &= ~between
+        return found
+
+    def minor_of(contract, delete):
+        # contracting edges merges their ends; the rest keep their order
+        roots = components(contract)[0]
+        gone = contract | delete
+        return from_graph([(roots[u], roots[v]) for i, (u, v) in enumerate(ends)
+                           if not gone >> i & 1])
+
+    return Matroid(len(edges), rank_of, closure_of=closure_of,
+                   covers_of=covers_of, minor_of=minor_of)
 
 
 def from_paving_copoints(n: int, r: int, copoints) -> Matroid:
@@ -635,16 +685,25 @@ def _indices(value) -> list[int]:
     return value
 
 
+def _elements(value) -> list[int]:
+    """A file's element set: an index list with no repeat, which a builder
+    would merge.  A graph edge may repeat its vertex (a loop)."""
+    if len(set(_indices(value))) != len(value):
+        raise PresentationError(f"{value!r} repeats an element")
+    return value
+
+
 # presentation kind -> (needs ground_set_size, builder(record, n)); every
-# element, vertex and group-element list in a file is read by `_indices`
+# vertex and group-element list in a file is read by `_indices`, and every
+# element set by `_elements`
 _PRESENTATIONS = {
-    "bases": (True, lambda p, n: from_bases(n, map(_indices, p["bases"]))),
+    "bases": (True, lambda p, n: from_bases(n, map(_elements, p["bases"]))),
     "uniform": (True, lambda p, n: uniform(json_int(p["rank"]), n)),
     "graph": (False, lambda p, n: from_graph(map(_indices, p["edges"]))),
     "paving_copoints": (True, lambda p, n: from_paving_copoints(
-        n, json_int(p["rank"]), map(_indices, p["copoints"]))),
+        n, json_int(p["rank"]), map(_elements, p["copoints"]))),
     "cyclic_flats": (True, lambda p, n: from_cyclic_flats(n, [
-        (_indices(f["elements"]), json_int(f["rank"])) for f in p["flats"]])),
+        (_elements(f["elements"]), json_int(f["rank"])) for f in p["flats"]])),
     "dowling3": (False, lambda p, n: dowling3(
         list(map(_indices, p["group_table"])))),
 }

@@ -394,6 +394,26 @@ class TestErrors:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
 
+    # a repeated element was merged (a basis [0, 0] was reported as a basis
+    # of another size); a graph edge [v, v] stays a loop
+    @pytest.mark.parametrize("doc", [
+        {"ground_set_size": 3, "presentation": {
+            "kind": "paving_copoints", "rank": 2, "copoints": [[0, 0, 1]]}},
+        {"ground_set_size": 3, "presentation": {
+            "kind": "cyclic_flats", "flats": [
+                {"elements": [], "rank": 0},
+                {"elements": [0, 1, 1], "rank": 1}]}},
+        {"ground_set_size": 2, "presentation": {
+            "kind": "bases", "bases": [[0, 0], [0, 1]]}},
+    ], ids=["copoint", "cyclic-flat", "basis"])
+    def test_repeated_element_exits_1(self, capsys, tmp_path, doc):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        assert main(["ginv", str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err.startswith("error:")
+        assert "repeats an element" in out.err
+
     def test_presentation_fields_of_the_wrong_type(self, capsys, tmp_path):
         docs = [
             {"presentation": {"kind": "graph", "edges": [1, 2]}},

@@ -15,6 +15,7 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, cat_direct_sum,
                   g_free_coextension, g_free_extension, g_free_product,
                   g_invariant, g_lift, g_relax, g_shuffle, g_truncate,
                   gamma_expand, uniform)
+from gcat.ginvariant import compositions
 from gcat import constructions
 from conftest import K4_EDGES, geometric_qcone, load_data, presentations
 
@@ -93,6 +94,53 @@ class TestCatDirectSum:
             m1, m2 = rng.choice(small), rng.choice(small)
             lhs = cat_direct_sum(catenary(m1), catenary(m2))
             assert lhs == catenary_from_g(g_brute_force(m1.direct_sum(m2)))
+
+
+def _interleaved(c1, c2):
+    """Direct-sum oracle: every pair of keys, every position set of the
+    first key's positive parts among all positive parts."""
+    counts = {}
+    for a, x in c1.counts.items():
+        for b, y in c2.counts.items():
+            p, q = len(a) - 1, len(b) - 1
+            for pos in itertools.combinations(range(p + q), p):
+                left, right = iter(a[1:]), iter(b[1:])
+                key = (a[0] + b[0], *(next(left) if i in pos else next(right)
+                                      for i in range(p + q)))
+                counts[key] = counts.get(key, 0) + x * y
+    return CatenaryData(c1.n + c2.n, c1.r + c2.r, counts)
+
+
+@st.composite
+def _catenary_vectors(draw):
+    """Up to four keys of one (n, r)-shape, r <= 4, with a_0 <= 2 loops and
+    parts <= 3, so that parts repeat; r = 0 gives the one key (a_0,)."""
+    loops = draw(st.integers(0, 2))
+    first = (loops, *draw(st.lists(st.integers(1, 3), max_size=4)))
+    n, r = sum(first), len(first) - 1
+    keys = [k for k in compositions(n, r) if k[0] == loops and max(k) <= 3]
+    chosen = draw(st.lists(st.sampled_from(keys), max_size=3)) + [first]
+    return CatenaryData(n, r, {k: draw(st.integers(1, 5)) for k in chosen})
+
+
+class TestMergedShuffles:
+    """`cat_direct_sum` against the interleaving oracle."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(_catenary_vectors(), _catenary_vectors())
+    def test_vectors(self, c1, c2):
+        assert cat_direct_sum(c1, c2) == _interleaved(c1, c2)
+
+    @pytest.mark.parametrize("k", range(9))
+    def test_free_parts(self, k):
+        # U(k,k)'s one key (0, 1, ..., 1) against repeated parts, loops on
+        # both sides and a rank-0 side
+        free = catenary(uniform(k, k))
+        for c in (catenary(from_graph(K4_EDGES).add_loop()),
+                  CatenaryData(6, 3, {(1, 1, 1, 3): 2, (1, 2, 1, 2): 1}),
+                  _loops(2), free):
+            assert cat_direct_sum(c, free) == _interleaved(c, free)
+            assert cat_direct_sum(free, c) == _interleaved(free, c)
 
 
 def _loops(h):

@@ -20,6 +20,7 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   tutte_brute_force, tutte_from_g, uniform)
 from gcat.ginvariant import (_flag_walk, gamma_coeffs, invariant_catenary,
                              invariant_copies)
+from gcat.matroid import Matroid
 from conftest import FANO_LINES, K4_EDGES, load_data, presentations
 
 
@@ -219,8 +220,21 @@ class TestCatenary:
         m = from_graph(k8)
         assert basis_count(catenary(m)) == 8 ** 6  # Cayley
         assert m._bases is None
-        # the flats close by union-find: only the 28 coloop tests rank
+        # the graph lists each flat's covers by one union-find: only the
+        # 28 coloop tests rank, and only the bottom flat is closed
         assert len(m._rank_cache) <= 40
+        assert m._closure_cache.keys() <= {0}
+
+    def test_doubled_edge_on_a_long_path(self):
+        # two parallel edges and 1000 bridges: the 2 of the pair's one key
+        # (0, 2) sits at any of 1001 places among the bridges' 1000 ones,
+        # each after the 1000! orders of the bridges; 1001 parts are too many
+        # for a shuffle that recurses once per part
+        q = 1000
+        m = from_graph([(0, 1), (0, 1)] + [(i, i + 1) for i in range(1, q + 1)])
+        want = {(0, *(1,) * i, 2, *(1,) * (q - i)): math.factorial(q)
+                for i in range(q + 1)}
+        assert catenary(m).counts == want
 
     def test_u516_is_a_design(self):
         assert _flag_walk(uniform(5, 16)) == pmd_catenary([0, 1, 2, 3, 4, 16])
@@ -276,6 +290,19 @@ class TestCatenary:
         assert c == _flag_walk(m)
         if m.n <= 9:
             assert c == catenary_from_g(g_brute_force(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(_with_coloops())
+    def test_walk_below_the_coloops_is_the_deletion(self, m):
+        coloops = m.coloops()
+        walked, covers = [], Matroid.covers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Matroid, "covers", lambda self, flat, top=None: (
+                walked.append(flat) or covers(self, flat, top)))
+            c = _flag_walk(m, m.full & ~coloops)
+        # no flat above a coloop is walked
+        assert all(flat & coloops == 0 for flat in walked)
+        assert c == _flag_walk(m.delete(coloops))
 
     @pytest.mark.parametrize("m", [
         uniform(0, 3),  # rank 0: the bottom flat is the top, key {3}

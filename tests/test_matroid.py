@@ -10,7 +10,8 @@ from gcat import (PresentationError, build_matroid, catenary, dowling3,
                   elements_of, from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
 from gcat.matroid import _basis_scan
-from conftest import K4_EDGES, TRIANGLE, load_data, presentations, subsets
+from conftest import (K4_EDGES, TRIANGLE, _graphs, load_data, presentations,
+                      subsets)
 
 
 def spanning_forest_count(edges):
@@ -236,16 +237,16 @@ class TestMinorsAndDual:
             assert m.dual().dual().bases == m.bases, name
 
     def test_minor_stores_each_closure_once(self):
-        # a 7-cycle with a 6-edge path hung off it: catenary walks the
-        # deletion of the 6 coloops, whose closures come from the parent's
-        # uncached closure; the parent keeps only the coloop tests, the
-        # ground set and the empty set
+        # a 7-cycle with a 6-edge path hung off it: catenary walks the flats
+        # of m below its 6 coloops in place, with covers from the graph, so
+        # m closes only the bottom flat and ranks only the empty set, the 13
+        # coloop tests and the walk's top; no minor is built
         cycle = [(i, (i + 1) % 7) for i in range(7)]
         path = [(6 + i, 7 + i) for i in range(6)]
         m = from_graph(cycle + path)
         assert m.n == 13
         catenary(m)
-        assert m._closure_cache == {}
+        assert m._closure_cache == {0: 0}
         assert len(m._rank_cache) <= 15
 
 
@@ -427,8 +428,8 @@ def _rank_closure(m, x):
 
 
 @st.composite
-def _minors(draw, max_n):
-    m = draw(presentations(max_n))
+def _minors(draw, max_n, kinds=presentations):
+    m = draw(kinds(max_n))
     if draw(st.booleans()):
         m.flats()  # the minor then reads closures the parent holds
     roles = draw(st.lists(st.sampled_from("kcd"), min_size=m.n, max_size=m.n))
@@ -460,6 +461,36 @@ class TestClosureOracle:
     def test_accepted_cyclic_flat_lists(self, m):
         if m is not None:
             self._check(m)
+
+
+class TestCoversOracle:
+    """Covers listed by a graph, or by a minor of one, against one closure
+    per element outside the flat, below E and below E - coloops."""
+
+    @staticmethod
+    def _check(m):
+        assert m._covers_of is not None
+        flats = [f for f, _ in m.flats()]
+        # listing the covers closes no set but the bottom flat
+        assert m._closure_cache.keys() <= {0}
+        core = m.full & ~m.coloops()
+        for f in flats:
+            assert m.covers(f) == {m.closure(f | 1 << e)
+                                   for e in elements_of(m.full & ~f)}, f
+            if f & ~core == 0:
+                assert m.covers(f, core) == {m.closure(f | 1 << e)
+                                             for e in elements_of(core & ~f)}, f
+
+    @settings(max_examples=100, deadline=None)
+    @given(_graphs(10))
+    def test_graphs(self, m):
+        self._check(m)
+
+    @settings(max_examples=100, deadline=None)
+    @given(_minors(10, _graphs))
+    def test_graph_minors(self, m):
+        # a graph's minor is built as a graph, so it lists its covers too
+        self._check(m)
 
 
 class TestMatroidByConstruction:
