@@ -19,37 +19,31 @@ from . import serialization as ser
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError, PresentationError
 from .freeproduct import detect_free_product
-from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum, catenary,
+from .ginvariant import (GInvariant, catenary, catenary_from_g,
                          g_from_catenary, invariant_catenary, tutte_from_g)
 from .reconstruction import (circuit_deck_reconstruct,
                              reconstruct_from_copoint_deck, slice_assemble)
 from .verify import run_verify
 
 
-def _qcone(loaded: tuple[GInvariant, CatenaryData],
-           q: int | None) -> GInvariant:
+def _qcone(g: GInvariant, q: int | None) -> GInvariant:
     if q is None:
         raise PresentationError("qcone needs --q")
-    return g_from_catenary(cons.cat_qcone(loaded[1], q))
-
-
-def _on_g(construction):
-    """An op on the loaded invariants alone, without their catenary data."""
-    return lambda *loaded: construction(*(g for g, _ in loaded))
+    return g_from_catenary(cons.cat_qcone(catenary_from_g(g), q))
 
 
 # op name -> (number of invariant files, options passed after them,
-# construction of the loaded (invariant, catenary data) pairs)
+# construction of the loaded invariants)
 OPS = {
-    "dual": (1, (), _on_g(cons.g_dual)),
-    "truncate": (1, (), _on_g(cons.g_truncate)),
-    "lift": (1, (), _on_g(cons.g_lift)),
-    "freeext": (1, (), _on_g(cons.g_free_extension)),
-    "freecoext": (1, (), _on_g(cons.g_free_coextension)),
-    "relax": (1, (), _on_g(cons.g_relax)),
+    "dual": (1, (), cons.g_dual),
+    "truncate": (1, (), cons.g_truncate),
+    "lift": (1, (), cons.g_lift),
+    "freeext": (1, (), cons.g_free_extension),
+    "freecoext": (1, (), cons.g_free_coextension),
+    "relax": (1, (), cons.g_relax),
     "qcone": (1, ("q",), _qcone),
-    "sum": (2, (), lambda a, b: g_from_catenary(cat_direct_sum(a[1], b[1]))),
-    "freeproduct": (2, (), _on_g(cons.g_free_product)),
+    "sum": (2, (), cons.g_shuffle),
+    "freeproduct": (2, (), cons.g_free_product),
 }
 
 # deck role -> reconstruction; a rank-k deck carries k in its restrictions
@@ -75,23 +69,23 @@ def _load_json(path: str) -> dict:
     return doc
 
 
-def _load_ginvariant(path: str) -> tuple[GInvariant, CatenaryData]:
-    """A matroid or G-invariant file, as an invariant with its catenary
+def _load_ginvariant(path: str) -> GInvariant:
+    """A matroid or G-invariant file, as an invariant holding its catenary
     data: the flag walk, or the solve that checks an invariant file."""
     doc = _load_json(path)
     if "coeffs" not in doc:
-        c = catenary(ser.matroid_from_json(doc))
-        return g_from_catenary(c), c
+        return g_from_catenary(catenary(ser.matroid_from_json(doc)))
     g = ser.ginvariant_from_json(doc)
-    return g, invariant_catenary(g)
+    invariant_catenary(g)
+    return g
 
 
 def _load_matroid(path: str):
     return ser.matroid_from_json(_load_json(path))
 
 
-def _params(loaded, args) -> dict:
-    g, c = loaded
+def _params(g: GInvariant, args) -> dict:
+    c = catenary_from_g(g)
     if args.flats:
         return {"flats": str(params.flat_count(c, *args.flats))}
     if args.coloops:
@@ -107,12 +101,12 @@ def _params(loaded, args) -> dict:
 # and the parsed arguments)
 FILE_COMMANDS = {
     "ginv": ("G-invariant of a matroid file", _load_ginvariant,
-             lambda gc, args: ser.catenary_to_json(gc[1])
-             if args.basis == "gamma" else ser.ginvariant_to_json(gc[0])),
+             lambda g, args: ser.catenary_to_json(catenary_from_g(g))
+             if args.basis == "gamma" else ser.ginvariant_to_json(g)),
     "catenary": ("catenary data of a matroid file", _load_matroid,
                  lambda m, args: ser.catenary_to_json(catenary(m))),
     "tutte": ("Tutte polynomial of a matroid file", _load_ginvariant,
-              lambda gc, args: ser.tutte_to_json(tutte_from_g(gc[0]))),
+              lambda g, args: ser.tutte_to_json(tutte_from_g(g))),
     "params": ("derived parameters of a matroid file", _load_ginvariant,
                _params),
     "config": ("configuration of a matroid file", _load_matroid,
@@ -125,7 +119,7 @@ FILE_COMMANDS = {
     "detect-freeproduct": (
         "free-product detection from a matroid or G-invariant file",
         _load_ginvariant,
-        lambda gc, args: ser.report_to_json(detect_free_product(gc[0]))),
+        lambda g, args: ser.report_to_json(detect_free_product(g))),
 }
 
 

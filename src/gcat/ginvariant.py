@@ -7,6 +7,12 @@ all n! element orderings, the rank sequence each ordering produces.  The
 catenary data counts flags (maximal chains of flats) by composition, and is
 the coordinate vector of the G-invariant in the triangular gamma basis.
 
+The two carry the same information, so a G-invariant holds its gamma
+coordinates once they are known: `g_from_catenary` stores the data it
+expanded, and `catenary_from_g` stores what it solved, so each invariant is
+solved at most once.  An invariant read from outside (a file, a deck) holds
+none, so it always gets the full solve and its checks.
+
 All coefficients are exact Python ints; the Tutte specialization runs on
 integers scaled by n!, and n! must divide every coefficient.
 """
@@ -84,17 +90,31 @@ def _clean(mapping) -> dict:
 
 @dataclass(frozen=True)
 class GInvariant:
-    """Integer vector on the rank-sequence symbols of shape (n, r)."""
+    """Integer vector on the rank-sequence symbols of shape (n, r).
+
+    A G built by `g_from_catenary` from data with no negative count, or
+    once solved by `catenary_from_g`, holds its gamma coordinates in
+    `_catenary`; the field takes no part in equality, hashing or repr.  A G
+    read from a file comes straight from this constructor, so it holds none.
+    """
 
     n: int
     r: int
     coeffs: Mapping[str, int] = field(default_factory=dict)
+    _catenary: CatenaryData | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         coeffs = _clean(self.coeffs)
+        n, r = self.n, self.r
         for key in coeffs:
-            if len(key) != self.n or key.count("1") != self.r:
-                raise ValueError(f"symbol {key!r} is not an ({self.n},{self.r})-sequence")
+            if len(key) != n or key.count("1") != r:
+                raise ValueError(f"symbol {key!r} is not an ({n},{r})-sequence")
+        # each symbol has n - r characters besides its r ones: one count
+        # over all the symbols checks that they are zeros
+        if "".join(coeffs).count("0") != (n - r) * len(coeffs):
+            key = next(key for key in coeffs if key.count("0") != n - r)
+            raise ValueError(f"symbol {key!r} is not an ({n},{r})-sequence")
         object.__setattr__(self, "coeffs", coeffs)
 
     def __getitem__(self, key: str) -> int:
@@ -358,12 +378,21 @@ def cat_direct_sum(c1: CatenaryData, c2: CatenaryData) -> CatenaryData:
 
 
 def g_from_catenary(c: CatenaryData) -> GInvariant:
-    """Sum of count * gamma(composition) over the catenary vector."""
+    """Sum of count * gamma(composition) over the catenary vector.
+
+    When every count is positive, c is exactly what the solve of the result
+    would return, so the result holds c and `catenary_from_g` reads it back
+    unsolved.  Data with a negative count are not held: the solve then
+    raises on them as it would on any vector from outside.
+    """
     acc: dict[str, int] = {}
     for comp, cnt in c.counts.items():
         for key, coeff in gamma_coeffs(comp).items():
             acc[key] = acc.get(key, 0) + cnt * coeff
-    return GInvariant(c.n, c.r, acc)
+    g = GInvariant(c.n, c.r, acc)
+    if min(c.counts.values(), default=1) > 0:
+        object.__setattr__(g, "_catenary", c)
+    return g
 
 
 def g_invariant(m: Matroid) -> GInvariant:
@@ -383,6 +412,18 @@ def _solve_order(key: str) -> tuple:
 
 
 def catenary_from_g(g: GInvariant) -> CatenaryData:
+    """Gamma coordinates of g: the data g holds, else the solve below, whose
+    result g then holds.
+
+    An invariant read from outside holds nothing, so it is always solved
+    and checked here; one that `g_from_catenary` built holds its data.
+    """
+    if g._catenary is None:
+        object.__setattr__(g, "_catenary", _gamma_solve(g))
+    return g._catenary
+
+
+def _gamma_solve(g: GInvariant) -> CatenaryData:
     """Invert the gamma-basis change by back-substitution along dominance.
 
     The solve visits only symbols in the residual support: a heap holds the
@@ -441,6 +482,8 @@ def invariant_catenary(g: GInvariant, copies: int | None = 1) -> CatenaryData:
     check every invariant from outside passes.  The total goes first, being
     one pass over g where the solve may touch the whole dominance up-set;
     the solve then raises unless the gamma coordinates are nonnegative ints.
+    An invariant from outside holds no coordinates, so the solve always runs
+    on it; one built here from its catenary data reads them back.
     """
     invariant_copies(g, copies)
     return catenary_from_g(g)

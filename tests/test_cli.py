@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from gcat import cli, from_graph, g_invariant, ginvariant, uniform
+from gcat import from_graph, g_invariant, ginvariant, uniform
 from gcat.cli import main
 from gcat.reconstruction import Deck, copoint_deck, rank_deck
 from gcat.serialization import (canonical_dumps, deck_to_json,
@@ -110,15 +110,16 @@ FILE = object()  # where the input file goes in the argument list
 @pytest.mark.parametrize("args", [("ginv", FILE, "--basis", "gamma"),
                                   ("params", FILE, "--flats", 2, 2),
                                   ("params", FILE, "--coloops", 2, 2, 2),
-                                  ("op", "qcone", FILE, "--q", 2)])
+                                  ("op", "qcone", FILE, "--q", 2),
+                                  ("op", "sum", FILE, FILE),
+                                  ("detect-freeproduct", FILE)])
 def test_each_input_is_solved_once(capsys, tmp_path, monkeypatch, args):
-    # the loader hands on the catenary data it holds: the checking solve
-    # of an invariant file, the flag walk of a matroid file
+    # the loaded invariant holds its catenary data: the checking solve of
+    # an invariant file, the flag walk of a matroid file
     calls = []
-    solve = ginvariant.catenary_from_g
-    monkeypatch.setattr(ginvariant, "catenary_from_g",
+    solve = ginvariant._gamma_solve
+    monkeypatch.setattr(ginvariant, "_gamma_solve",
                         lambda g: calls.append(g) or solve(g))
-    assert not hasattr(cli, "catenary_from_g")
     path = tmp_path / "g.json"
     path.write_text(canonical_dumps(
         ginvariant_to_json(g_invariant(from_graph(K4_EDGES)))))
@@ -126,7 +127,7 @@ def test_each_input_is_solved_once(capsys, tmp_path, monkeypatch, args):
         calls.clear()
         code, out = run(capsys, *(source if a is FILE else a for a in args))
         assert code == 0 and out
-        assert len(calls) == expect, source
+        assert len(calls) == expect * args.count(FILE), source
 
 
 class TestOps:
@@ -434,6 +435,15 @@ class TestErrors:
             bad.write_text(json.dumps(doc))
             assert main(["ginv", str(bad)]) == 1, doc
             assert capsys.readouterr().err.startswith("error:"), doc
+
+    # the payload reader names the symbol; no command reaches the solve
+    @pytest.mark.parametrize("command", [["ginv"], ["tutte"], ["op", "dual"]])
+    def test_symbol_that_is_not_0_1_exits_1(self, capsys, tmp_path, command):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"n": 3, "r": 1, "coeffs": {"1a0": "6"}}))
+        assert main(command + [str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and "'1a0'" in out.err
 
     # each number below was truncated or reparsed by int(), and the command
     # printed a result for the value the file does not hold

@@ -11,16 +11,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
-                  basis_count, catenary, catenary_from_g, comp_to_seq,
-                  compositions, dominates, dowling3, from_graph,
-                  from_paving_copoints,
-                  g_brute_force, g_from_catenary, g_invariant, gamma_expand,
-                  gamma_one,
+                  basis_count, cat_direct_sum, catenary, catenary_from_g,
+                  comp_to_seq, compositions, detect_free_product, dominates,
+                  dowling3, from_graph, from_paving_copoints,
+                  g_brute_force, g_from_catenary, g_invariant, g_shuffle,
+                  gamma_expand, gamma_one,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
 from gcat.ginvariant import (_flag_walk, gamma_coeffs, invariant_catenary,
                              invariant_copies)
 from gcat.matroid import Matroid
+from gcat.serialization import ginvariant_to_json
 from conftest import FANO_LINES, K4_EDGES, load_data, presentations
 
 
@@ -337,7 +338,8 @@ class TestConversions:
         c = CatenaryData(6, 3, {(0, 1, 1, 4): 6, (0, 1, 2, 3): 12})
         g = g_from_catenary(c)
         assert g.coeffs == {"111000": 576, "110100": 144}
-        assert catenary_from_g(g) == c
+        # a fresh copy holds no coordinates, so this is the solve
+        assert catenary_from_g(GInvariant(g.n, g.r, g.coeffs)) == c
 
     def test_sum_example(self):
         c = CatenaryData(3, 2, {(0, 1, 2): 1, (0, 2, 1): 1})
@@ -357,7 +359,8 @@ class TestConversions:
             for comp in rng.sample(comps, k=min(len(comps), rng.randint(1, 5))):
                 counts[comp] = rng.randint(0, 50)
             c = CatenaryData(n, r, counts)
-            assert catenary_from_g(g_from_catenary(c)) == c
+            g = g_from_catenary(c)
+            assert catenary_from_g(GInvariant(n, r, g.coeffs)) == c
 
     @staticmethod
     def _scan(g):
@@ -402,7 +405,8 @@ class TestConversions:
         failures = 0
         for name, m in corpus:
             g = cache.g(name, m)
-            assert catenary_from_g(g) == self._scan(g), name
+            fresh = GInvariant(g.n, g.r, g.coeffs)
+            assert catenary_from_g(fresh) == self._scan(g), name
             by_height = {}
             for a in compositions(g.n, g.r):
                 by_height.setdefault(sum(itertools.accumulate(a)), []) \
@@ -446,7 +450,8 @@ class TestInvariantCatenary:
         for name, m in corpus:
             g = cache.g(name, m)
             assert invariant_copies(g) == 1, name
-            assert invariant_catenary(g) == cache.cat(name, m), name
+            fresh = GInvariant(g.n, g.r, g.coeffs)
+            assert invariant_catenary(fresh) == cache.cat(name, m), name
 
     def test_copies_none_accepts_a_sum_of_invariants(self, named, cache):
         # fig2-M1 and fig2-M2 share the shape (n, r); their sum totals 2 n!
@@ -472,6 +477,82 @@ class TestInvariantCatenary:
     def test_rejects(self, g, copies):
         with pytest.raises(ExactnessError):
             invariant_catenary(g, copies)
+
+
+def _lookups():
+    info = gamma_coeffs.cache_info()
+    return info.hits + info.misses
+
+
+class TestHeldCoordinates:
+    """A G built from its catenary data, or solved once, holds them."""
+
+    def test_held_data_need_no_solve(self):
+        c1, c2 = catenary(from_graph(K4_EDGES)), catenary(uniform(2, 3))
+        k4, u23 = g_from_catenary(c1), g_from_catenary(c2)
+        before = _lookups()
+        assert catenary_from_g(k4) is c1 and catenary_from_g(u23) is c2
+        assert not detect_free_product(k4).is_proper
+        assert _lookups() == before
+        # the shuffle expands its output's keys and solves nothing
+        keys = len(cat_direct_sum(c1, c2).counts)
+        before = _lookups()
+        g_shuffle(k4, u23)
+        assert _lookups() == before + keys
+        # a proper free product expands its two parts and solves nothing
+        prod = g_invariant(uniform(1, 2).free_product(uniform(2, 3)))
+        before = _lookups()
+        rep = detect_free_product(prod)
+        spent = _lookups() - before
+        assert rep.is_proper
+        assert spent == sum(len(catenary_from_g(h).counts)
+                            for _, _, left, right in rep.factors
+                            for h in (left, right))
+        # a fresh copy holds nothing: the detection solves it, once
+        fresh = GInvariant(prod.n, prod.r, prod.coeffs)
+        before = _lookups()
+        assert detect_free_product(fresh) == rep
+        assert _lookups() > before + spent
+        before = _lookups()
+        assert catenary_from_g(fresh) == catenary_from_g(prod)
+        assert _lookups() == before
+
+    def test_negative_counts_are_not_held(self):
+        # integral gamma coordinates, one of them negative
+        c = CatenaryData(3, 2, {(0, 1, 2): 2, (0, 2, 1): -1})
+        g = g_from_catenary(c)
+        fresh = GInvariant(g.n, g.r, g.coeffs)
+        errors = []
+        for h in (g, fresh):
+            with pytest.raises(ExactnessError, match="negative") as exc:
+                catenary_from_g(h)
+            errors.append(str(exc.value))
+        assert errors[0] == errors[1]
+
+    def test_holding_changes_no_output(self):
+        g = g_invariant(from_graph(K4_EDGES))
+        fresh = GInvariant(g.n, g.r, g.coeffs)
+        assert g == fresh and hash(g) == hash(fresh)
+        assert repr(g) == repr(fresh)
+        assert ginvariant_to_json(g) == ginvariant_to_json(fresh)
+        assert {g, fresh} == {g}
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(presentations(10))
+    def test_held_equals_a_fresh_solve(self, m):
+        g = g_invariant(m)
+        assert catenary_from_g(g) == catenary_from_g(
+            GInvariant(g.n, g.r, g.coeffs))
+
+    @pytest.mark.parametrize("n, r, key", [(3, 1, "1a0"), (3, 1, "1 0"),
+                                           (2, 0, "-0"), (2, 1, "12")])
+    def test_symbols_are_0_1_strings(self, n, r, key):
+        # "1a0" was read as "100", until g_dual called it no (3,2)-sequence;
+        # the bad symbol is named beside a good one too
+        good = "1" * r + "0" * (n - r)
+        for coeffs in ({key: math.factorial(n)}, {good: 1, key: 1}):
+            with pytest.raises(ValueError, match=repr(key)):
+                GInvariant(n, r, coeffs)
 
 
 class TestOracle:
