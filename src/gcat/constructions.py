@@ -26,10 +26,17 @@ def _accumulate(pairs) -> dict:
 # -- dual, truncation, lift ---------------------------------------------------
 
 def g_dual(g: GInvariant) -> GInvariant:
-    """Reverse each symbol and switch 0s and 1s; coefficients unchanged."""
-    swap = str.maketrans("01", "10")
-    coeffs = {key[::-1].translate(swap): c for key, c in g.coeffs.items()}
-    return GInvariant(g.n, g.n - g.r, coeffs)
+    """Reverse each symbol and switch 0s and 1s; coefficients unchanged.
+
+    g holds its dual once built, so every later call returns that one G,
+    with whatever gamma coordinates it holds: each dual is solved at most
+    once.
+    """
+    if g._dual is None:
+        swap = str.maketrans("01", "10")
+        coeffs = {key[::-1].translate(swap): c for key, c in g.coeffs.items()}
+        object.__setattr__(g, "_dual", GInvariant(g.n, g.n - g.r, coeffs))
+    return g._dual
 
 
 def _demote(key: str) -> str:

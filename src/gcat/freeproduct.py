@@ -5,11 +5,15 @@ with every cyclic flat; pinchpoints are in bijection with the sharp free
 product factorizations M = (M|X) # (M/X).  Free extensions and coextensions
 are invisible to the invariant by design, so only proper factorizations
 (both parts with at least two cyclic flats) are reported.
+
+The cyclic flats of each rank and size come from the census of unit chains
+the catenary data hold (`parameters`), so the detection pays for one pass
+over the keys per rank of M and of each split part, and reads every count
+after that.
 """
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 
 from .configuration import Configuration
@@ -17,7 +21,8 @@ from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
                          g_from_catenary)
 from .matroid import Matroid, elements_of
-from .parameters import flat_count, flat_count_coloops, _split_at_unique_flat
+from .parameters import (_split_at_unique_flat, _unit_chains, flat_count,
+                         flat_count_coloops)
 
 
 @dataclass(frozen=True)
@@ -42,14 +47,14 @@ def _cyclic_census(c: CatenaryData) -> dict[tuple[int, int], int]:
     """Count of cyclic flats by (rank, size), from the catenary data.
 
     A rank-k flat of size s lies on a flag, so only the pairs
-    (k, a_0 + ... + a_k) of the catenary keys can hold one."""
+    (k, a_0 + ... + a_k) of the catenary keys can hold one: the sizes of
+    the flat counts in rank k's row of the unit-chain census c holds."""
     out: dict[tuple[int, int], int] = {}
-    realized = {(k, s) for comp in c.counts
-                for k, s in enumerate(itertools.accumulate(comp))}
-    for k, s in sorted(realized):
-        v = flat_count_coloops(c, k, s, 0)
-        if v:
-            out[(k, s)] = v
+    for k in range(c.r + 1):
+        for s in sorted(s for s, j in _unit_chains(c, k) if j == 0):
+            v = flat_count_coloops(c, k, s, 0)
+            if v:
+                out[(k, s)] = v
     return out
 
 

@@ -94,7 +94,8 @@ class GInvariant:
 
     A G built by `g_from_catenary` from data with no negative count, or
     once solved by `catenary_from_g`, holds its gamma coordinates in
-    `_catenary`; the field takes no part in equality, hashing or repr.  A G
+    `_catenary`, and once dualised by `constructions.g_dual` holds its dual
+    in `_dual`; neither field takes part in equality, hashing or repr.  A G
     read from a file comes straight from this constructor, so it holds none.
     """
 
@@ -102,6 +103,8 @@ class GInvariant:
     r: int
     coeffs: Mapping[str, int] = field(default_factory=dict)
     _catenary: CatenaryData | None = field(
+        default=None, init=False, repr=False, compare=False)
+    _dual: GInvariant | None = field(
         default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -137,11 +140,19 @@ class GInvariant:
 
 @dataclass(frozen=True)
 class CatenaryData:
-    """Flag counts by (n,r)-composition: the gamma-basis coordinates."""
+    """Flag counts by (n,r)-composition: the gamma-basis coordinates.
+
+    `parameters` holds its census of unit chains in `_census`, one row per
+    rank, built on the first query of that rank; like
+    `GInvariant._catenary` the field takes no part in equality, hashing or
+    repr.
+    """
 
     n: int
     r: int
     counts: Mapping[tuple, int] = field(default_factory=dict)
+    _census: dict[int, dict[tuple[int, int], int | None]] | None = field(
+        default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         counts = {}
@@ -262,11 +273,17 @@ def gamma_one(a: tuple) -> int:
     that generate one flag of composition a, n! prod_i a_i / (n - s_(i-1))
     with s_i = a_0 + ... + a_i, since the first element outside X_(i-1)
     must lie in X_i.
+
+    Split n! into the blocks n!/(n - a_0)! and (n - s_(i-1))!/(n - s_i)!;
+    each (n - s_(i-1)) cancels the first factor of block i, so the count is
+    a product of falling factorials and no division is made.
     """
-    n = sum(a)
-    prefix = itertools.accumulate(a[:-1])
-    return (math.factorial(n) * math.prod(a[1:])
-            // math.prod(n - s for s in prefix))
+    rest = sum(a) - a[0]
+    out = math.perm(rest + a[0], a[0])
+    for x in a[1:]:
+        out *= x * math.perm(rest - 1, x - 1)
+        rest -= x
+    return out
 
 
 # -- catenary data of a matroid -----------------------------------------------

@@ -5,6 +5,12 @@ circuit/cocircuit/cyclic-set counts, spanning-circuit detection, and the
 G-invariants of the restriction to and contraction by a unique flat.  All
 divisions are exact-integer checked; a failure names the violated identity
 and signals a non-matroid input.
+
+Flat and coloop counts need only chains whose sizes step by one, so
+catenary data hold one census of them: each rank's row is built in one pass
+over the keys, on the first query of that rank, and every later count is a
+lookup.  Circuit counts go through the dual, which the invariant holds once
+built (`g_dual`), so a census over sizes solves it once.
 """
 
 from __future__ import annotations
@@ -59,9 +65,57 @@ def chain_count(c: CatenaryData, h: int, k: int, sizes) -> int:
     return total // denom
 
 
+def _unit_chains(c: CatenaryData, k: int) -> dict[tuple[int, int], int | None]:
+    """Rank k's row of the census of unit chains that c holds: the chain
+    count F_{k-j,k}(s-j, ..., s) under (s, j).
+
+    Such a chain's sizes step by one, so it matches the keys whose parts
+    k-j+1..k are all 1 and whose first k+1 parts sum to s.  One pass over
+    the keys finds every (s, j) of rank k: each key adds its `chain_count`
+    numerator, count * gamma_one(head) * gamma_one(tail), under every j
+    down the run of 1-parts that ends at part k.  Each sum is then divided
+    by (s-j)! (n-s)!; one that does not divide, so c is no matroid's, is
+    held as None.  The row is built on the first query of rank k and held
+    as long as c.
+    """
+    census = c._census
+    if census is None:
+        census = {}
+        object.__setattr__(c, "_census", census)
+    row = census.get(k)
+    if row is None:
+        row = {}
+        for comp, cnt in c.counts.items():
+            s = sum(comp[:k + 1])
+            tail = cnt * gamma_one((0,) + comp[k + 1:])
+            j = 0
+            while True:
+                row[s, j] = row.get((s, j), 0) + tail * gamma_one(comp[:k - j + 1])
+                if j == k or comp[k - j] != 1:
+                    break
+                j += 1
+        for (s, j), total in row.items():
+            count, rest = divmod(
+                total, math.factorial(s - j) * math.factorial(c.n - s))
+            row[s, j] = None if rest else count
+        census[k] = row
+    return row
+
+
+def _unit_chain_count(c: CatenaryData, k: int, s: int, j: int) -> int:
+    """F_{k-j,k}(s-j, ..., s), read from the census; the caller checks the
+    sizes."""
+    count = _unit_chains(c, k).get((s, j), 0)
+    if count is None:
+        # not integral: the scan raises, naming the numerator
+        return chain_count(c, k - j, k, range(s - j, s + 1))
+    return count
+
+
 def flat_count(c: CatenaryData, k: int, s: int) -> int:
     """Number of rank-k flats of size s."""
-    return chain_count(c, k, k, (s,))
+    (s,) = _validate_sizes(c, k, k, (s,))
+    return _unit_chain_count(c, k, s, 0)
 
 
 def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
@@ -69,18 +123,18 @@ def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
     given number of coloops.
 
     Solves the triangular system sum_{j>=c} f_k(s,j) j!/(j-c)! =
-    F_{k-c,k}(s-c, ..., s) downward from c = k; coloops = 0 counts the
-    cyclic flats of that rank and size.
+    F_{k-c,k}(s-c, ..., s) downward from c = k, each right-hand side a
+    census entry; coloops = 0 counts the cyclic flats of that rank and size.
     """
     if not 0 <= coloops <= k <= c.r:
         raise ValueError(f"need 0 <= coloops <= k <= r, got {coloops}, {k}, {c.r}")
+    if k > s:
+        return 0  # a rank-k flat has at least k elements
+    (s,) = _validate_sizes(c, k, k, (s,))
     f = {}
     for cc in range(k, -1, -1):
-        if s - cc < 0 or k - cc > s - cc:
-            rhs = 0
-        else:
-            rhs = chain_count(c, k - cc, k, tuple(range(s - cc, s + 1)))
-        acc = rhs - sum(f[j] * math.perm(j, cc) for j in range(cc + 1, k + 1))
+        acc = (_unit_chain_count(c, k, s, cc)
+               - sum(f[j] * math.perm(j, cc) for j in range(cc + 1, k + 1)))
         denom = math.factorial(cc)
         if acc % denom:
             raise ExactnessError(

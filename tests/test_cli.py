@@ -112,10 +112,13 @@ FILE = object()  # where the input file goes in the argument list
                                   ("params", FILE, "--coloops", 2, 2, 2),
                                   ("op", "qcone", FILE, "--q", 2),
                                   ("op", "sum", FILE, FILE),
-                                  ("detect-freeproduct", FILE)])
+                                  ("detect-freeproduct", FILE),
+                                  ("params", FILE, "--circuits", 3),
+                                  ("params", FILE, "--hamiltonian")])
 def test_each_input_is_solved_once(capsys, tmp_path, monkeypatch, args):
     # the loaded invariant holds its catenary data: the checking solve of
-    # an invariant file, the flag walk of a matroid file
+    # an invariant file, the flag walk of a matroid file; circuits are
+    # counted on the dual, which is solved once more
     calls = []
     solve = ginvariant._gamma_solve
     monkeypatch.setattr(ginvariant, "_gamma_solve",
@@ -127,7 +130,8 @@ def test_each_input_is_solved_once(capsys, tmp_path, monkeypatch, args):
         calls.clear()
         code, out = run(capsys, *(source if a is FILE else a for a in args))
         assert code == 0 and out
-        assert len(calls) == expect * args.count(FILE), source
+        duals = "--circuits" in args or "--hamiltonian" in args
+        assert len(calls) == expect * args.count(FILE) + duals, source
 
 
 class TestOps:
@@ -435,6 +439,16 @@ class TestErrors:
             bad.write_text(json.dumps(doc))
             assert main(["ginv", str(bad)]) == 1, doc
             assert capsys.readouterr().err.startswith("error:"), doc
+
+    @pytest.mark.parametrize("query, err", [
+        (["--flats", "1", "99"], "error: size 99 exceeds n=6\n"),
+        (["--coloops", "1", "99", "0"], "error: size 99 exceeds n=6\n"),
+        (["--coloops", "1", "2", "2"],
+         "error: need 0 <= coloops <= k <= r, got 2, 1, 3\n")])
+    def test_params_out_of_range_exits_1(self, capsys, query, err):
+        assert main(["params", str(data("k4"))] + query) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == err
 
     # the payload reader names the symbol; no command reaches the solve
     @pytest.mark.parametrize("command", [["ginv"], ["tutte"], ["op", "dual"]])

@@ -3,13 +3,16 @@
 import itertools
 
 import pytest
+from hypothesis import given, settings
 
-from gcat import (ExactnessError, catenary, elements_of, from_graph,
-                  g_invariant, uniform)
-from gcat.parameters import (chain_count, family_counts, flat_count,
-                             flat_count_coloops, g_split_at_unique_flat,
-                             has_spanning_circuit)
-from conftest import K4_EDGES, load_data
+from gcat import (CatenaryData, ExactnessError, GInvariant, catenary,
+                  elements_of, from_graph, g_dual, g_invariant, ginvariant,
+                  uniform)
+from gcat.parameters import (_unit_chain_count, _unit_chains, chain_count,
+                             family_counts, flat_count, flat_count_coloops,
+                             g_split_at_unique_flat, has_spanning_circuit)
+from gcat.serialization import catenary_to_json, ginvariant_to_json
+from conftest import K4_EDGES, load_data, presentations
 
 
 def exhaustive_chains(m, h, k, sizes):
@@ -110,6 +113,121 @@ class TestColoopCensus:
                     total = sum(flat_count_coloops(c, k, s, cc)
                                 for cc in range(k + 1))
                     assert total == flat_count(c, k, s), (name, k, s)
+
+
+# a non-matroid catenary vector whose flat and coloop counts do not divide
+NOT_A_MATROID = CatenaryData(4, 3, {(0, 2, 1, 1): 2, (1, 1, 1, 1): 3})
+
+
+class TestInputChecks:
+    """The texts every flat and coloop count raises, read from the census or
+    not: the CLI prints them after "error: " or "inconsistency: "."""
+
+    @pytest.mark.parametrize("query, text", [
+        ((flat_count, 1, 99), "size 99 exceeds n=6"),
+        ((flat_count_coloops, 1, 99, 0), "size 99 exceeds n=6"),
+        ((flat_count, 4, 2), "need 0 <= h <= k <= r, got h=4, k=4, r=3"),
+        ((flat_count_coloops, 4, 2, 0),
+         "need 0 <= coloops <= k <= r, got 0, 4, 3"),
+        ((flat_count_coloops, 1, 2, 2),
+         "need 0 <= coloops <= k <= r, got 2, 1, 3"),
+        ((flat_count, 2, -1), "sizes must strictly increase: (-1,)"),
+    ])
+    def test_value_errors(self, query, text):
+        fn, *args = query
+        c = catenary(from_graph(K4_EDGES))
+        with pytest.raises(ValueError) as exc:
+            fn(c, *args)
+        assert str(exc.value) == text
+
+    def test_sizes_below_zero_count_no_coloop_flat(self):
+        assert flat_count_coloops(catenary(from_graph(K4_EDGES)), 2, -1, 0) == 0
+
+    @pytest.mark.parametrize("query, text", [
+        ((flat_count, 1, 2), "chain count F_{1,1}(2,) = 10/4 is not integral"),
+        ((flat_count_coloops, 1, 2, 0),
+         "chain count F_{0,1}(1, 2) = 3/2 is not integral"),
+        ((flat_count_coloops, 2, 3, 0),
+         "coloop census f_2(3,2) = 3/2 is not integral"),
+    ])
+    def test_not_integral(self, query, text):
+        fn, *args = query
+        with pytest.raises(ExactnessError) as exc:
+            fn(NOT_A_MATROID, *args)
+        assert str(exc.value) == text
+
+
+def _assert_census_is_the_scan(c):
+    """Every unit chain of c, read from the census, against the scan."""
+    for k in range(c.r + 1):
+        row = _unit_chains(c, k)
+        assert _unit_chains(c, k) is row
+        for j in range(k + 1):
+            for s in range(j, c.n + 1):
+                scan = chain_count(c, k - j, k, range(s - j, s + 1))
+                assert _unit_chain_count(c, k, s, j) == scan, (c, k, s, j)
+                assert (s, j) in row or scan == 0, (c, k, s, j)
+
+
+class TestUnitChainCensus:
+    def test_corpus_census_is_the_scan(self, corpus, cache):
+        for name, m in corpus:
+            _assert_census_is_the_scan(cache.cat(name, m))
+
+    def test_loops_coloops_and_runs_to_rank_0(self):
+        # two loops, three coloops and a parallel class: some runs of
+        # 1-parts reach rank 0
+        m = uniform(0, 2).direct_sum(uniform(3, 3)).direct_sum(uniform(1, 3))
+        c = catenary(m)
+        assert c.loops() == 2
+        _assert_census_is_the_scan(c)
+        assert any(j == k for k in range(1, c.r + 1)
+                   for _, j in _unit_chains(c, k))
+        assert flat_count_coloops(c, 3, 5, 3) == 1
+        _assert_census_is_the_scan(catenary(uniform(3, 3)))
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(presentations(10))
+    def test_census_is_the_scan(self, m):
+        _assert_census_is_the_scan(catenary(m))
+
+
+class TestHeldCensusAndDual:
+    """The census and the dual are held, invisibly, as long as their owner."""
+
+    def test_holding_changes_no_output(self):
+        c = catenary(from_graph(K4_EDGES))
+        fresh_c = CatenaryData(c.n, c.r, c.counts)
+        g = g_invariant(from_graph(K4_EDGES))
+        fresh_g = GInvariant(g.n, g.r, g.coeffs)
+        for k in range(c.r + 1):
+            flat_count(c, k, 3)
+        assert c._census is not None and g_dual(g) is g_dual(g)
+        assert c == fresh_c and hash(c) == hash(fresh_c)
+        assert repr(c) == repr(fresh_c)
+        assert catenary_to_json(c) == catenary_to_json(fresh_c)
+        assert g == fresh_g and hash(g) == hash(fresh_g)
+        assert repr(g) == repr(fresh_g)
+        assert ginvariant_to_json(g) == ginvariant_to_json(fresh_g)
+        assert g_dual(g_dual(g)) == g
+
+    def test_each_dual_is_solved_once(self, monkeypatch):
+        calls = []
+        solve = ginvariant._gamma_solve
+        monkeypatch.setattr(ginvariant, "_gamma_solve",
+                            lambda g: calls.append(g) or solve(g))
+        g = g_invariant(from_graph(K4_EDGES))
+        counts = [family_counts(g, "circuit", s) for s in range(1, g.r + 2)]
+        assert counts == [0, 0, 4, 3]
+        assert has_spanning_circuit(g)
+        assert family_counts(g, "cyclic_set", 4) == 3
+        assert list(map(id, calls)) == [id(g_dual(g))]
+        # a fresh copy holds neither its dual nor its coordinates
+        fresh = GInvariant(g.n, g.r, g.coeffs)
+        assert has_spanning_circuit(fresh)
+        assert ginvariant.catenary_from_g(fresh) == ginvariant.catenary_from_g(g)
+        assert list(map(id, calls)) == list(map(id, (g_dual(g), g_dual(fresh),
+                                                     fresh)))
 
 
 class TestFamilyCounts:
