@@ -151,8 +151,8 @@ class CatenaryData:
     n: int
     r: int
     counts: Mapping[tuple, int] = field(default_factory=dict)
-    _census: dict[int, dict[tuple[int, int], int | None]] | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _census: dict[int, dict[tuple[int, int], int | tuple[int, int]]] | None = (
+        field(default=None, init=False, repr=False, compare=False))
 
     def __post_init__(self):
         counts = {}

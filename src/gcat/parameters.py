@@ -15,7 +15,6 @@ built (`g_dual`), so a census over sizes solves it once.
 
 from __future__ import annotations
 
-import itertools
 import math
 
 from .constructions import g_dual
@@ -30,7 +29,9 @@ def _validate_sizes(c: CatenaryData, h: int, k: int, sizes) -> tuple[int, ...]:
         raise ValueError(f"need 0 <= h <= k <= r, got h={h}, k={k}, r={c.r}")
     if len(sizes) != k - h + 1:
         raise ValueError(f"expected {k - h + 1} sizes for ranks {h}..{k}")
-    if sizes[0] < 0 or any(x >= y for x, y in zip(sizes, sizes[1:])):
+    if sizes[0] < 0:
+        raise ValueError(f"sizes must be nonnegative: {sizes}")
+    if any(x >= y for x, y in zip(sizes, sizes[1:])):
         raise ValueError(f"sizes must strictly increase: {sizes}")
     if sizes[-1] > c.n:
         raise ValueError(f"size {sizes[-1]} exceeds n={c.n}")
@@ -60,12 +61,18 @@ def chain_count(c: CatenaryData, h: int, k: int, sizes) -> int:
         total += gamma_one(head) * gamma_one(tail) * cnt
     denom = math.factorial(s_h) * math.factorial(n - s_k)
     if total % denom:
-        raise ExactnessError(
-            f"chain count F_{{{h},{k}}}{sizes} = {total}/{denom} is not integral")
+        raise _not_integral(h, k, sizes, total, denom)
     return total // denom
 
 
-def _unit_chains(c: CatenaryData, k: int) -> dict[tuple[int, int], int | None]:
+def _not_integral(h: int, k: int, sizes: tuple, total: int, denom: int
+                  ) -> ExactnessError:
+    return ExactnessError(
+        f"chain count F_{{{h},{k}}}{sizes} = {total}/{denom} is not integral")
+
+
+def _unit_chains(c: CatenaryData, k: int
+                 ) -> dict[tuple[int, int], int | tuple[int, int]]:
     """Rank k's row of the census of unit chains that c holds: the chain
     count F_{k-j,k}(s-j, ..., s) under (s, j).
 
@@ -75,8 +82,8 @@ def _unit_chains(c: CatenaryData, k: int) -> dict[tuple[int, int], int | None]:
     numerator, count * gamma_one(head) * gamma_one(tail), under every j
     down the run of 1-parts that ends at part k.  Each sum is then divided
     by (s-j)! (n-s)!; one that does not divide, so c is no matroid's, is
-    held as None.  The row is built on the first query of rank k and held
-    as long as c.
+    held as its numerator and denominator.  The row is built on the first
+    query of rank k and held as long as c.
     """
     census = c._census
     if census is None:
@@ -95,9 +102,8 @@ def _unit_chains(c: CatenaryData, k: int) -> dict[tuple[int, int], int | None]:
                     break
                 j += 1
         for (s, j), total in row.items():
-            count, rest = divmod(
-                total, math.factorial(s - j) * math.factorial(c.n - s))
-            row[s, j] = None if rest else count
+            denom = math.factorial(s - j) * math.factorial(c.n - s)
+            row[s, j] = (total, denom) if total % denom else total // denom
         census[k] = row
     return row
 
@@ -106,9 +112,8 @@ def _unit_chain_count(c: CatenaryData, k: int, s: int, j: int) -> int:
     """F_{k-j,k}(s-j, ..., s), read from the census; the caller checks the
     sizes."""
     count = _unit_chains(c, k).get((s, j), 0)
-    if count is None:
-        # not integral: the scan raises, naming the numerator
-        return chain_count(c, k - j, k, range(s - j, s + 1))
+    if isinstance(count, tuple):
+        raise _not_integral(k - j, k, tuple(range(s - j, s + 1)), *count)
     return count
 
 
@@ -179,73 +184,61 @@ def has_spanning_circuit(g: GInvariant) -> bool:
     return family_counts(g, "circuit", g.r + 1) > 0
 
 
-def _best_chain_sizes(c: CatenaryData, h: int, k: int, s_h: int, s_k: int):
-    """Size sequence with the largest chain count (deterministic tie-break).
-
-    Only the sequences some catenary key realizes can count a chain; they
-    are tried in ascending order, so the first of the largest count wins.
-    """
-    realized = {tuple(itertools.accumulate(comp[h + 1:k + 1], initial=s_h))
-                for comp in c.counts
-                if sum(comp[:h + 1]) == s_h and sum(comp[:k + 1]) == s_k}
-    best = None
-    for sizes in sorted(realized):
-        cnt = chain_count(c, h, k, sizes)
-        if cnt > 0 and (best is None or cnt > best[0]):
-            best = (cnt, sizes)
-    if best is None:
-        raise ExactnessError(
-            f"no chain of flats joins ranks {h} and {k} at sizes {s_h}, {s_k}")
-    return best
-
-
 def g_split_at_unique_flat(g: GInvariant, k: int, s: int
                            ) -> tuple[GInvariant, GInvariant]:
     """G-invariants of the restriction to and contraction by the unique
-    rank-k, size-s flat.
+    rank-k, size-s flat X.
 
-    Each catenary coordinate of the minor is a catenary coordinate of the
-    whole matroid with the complementary parts pinned to a fixed size
-    sequence, divided by the number of chains realizing that sequence.
+    Every flag whose rank-k flat has s elements passes through X, so the
+    coordinate of its key a + b, with a the first k+1 parts, is
+    nu(M|X; a) nu(M/X; (0,) + b): each minor's data is a marginal of those
+    keys, divided by the other minor's number of flags.
     """
     rest, contr = _split_at_unique_flat(catenary_from_g(g), k, s)
     return g_from_catenary(rest), g_from_catenary(contr)
 
 
+def _divide_marginal(n: int, r: int, sums: dict[tuple, int], side: str
+                     ) -> CatenaryData:
+    """A minor's catenary data on n elements from its marginal.
+
+    The marginal is the data times a scale, and each of the n! orderings
+    of the minor generates one flag, so sum(sums[a] gamma_one(a)) is n!
+    times the scale.
+    """
+    total = sum(v * gamma_one(a) for a, v in sums.items())
+    scale, rest = divmod(total, math.factorial(n))
+    if rest or scale <= 0:
+        raise ExactnessError(f"{side} scale {total}/{math.factorial(n)} "
+                             "is not a positive integer")
+    counts = {}
+    for a, v in sums.items():
+        counts[a], rest = divmod(v, scale)
+        if rest:
+            raise ExactnessError(
+                f"{side} coordinate {a} = {v}/{scale} is not integral")
+    return CatenaryData(n, r, counts)
+
+
 def _split_at_unique_flat(c: CatenaryData, k: int, s: int
                           ) -> tuple[CatenaryData, CatenaryData]:
-    """`g_split_at_unique_flat` from catenary data to catenary data."""
+    """`g_split_at_unique_flat` from catenary data to catenary data, in one
+    pass over the keys whose first k+1 parts sum to s: summing out each
+    key's tail gives the restriction's marginal, its head the
+    contraction's."""
     n, r = c.n, c.r
     if not 0 <= k <= r:
         raise ValueError(f"flat rank {k} out of range 0..{r}")
     if flat_count(c, k, s) != 1:
         raise ExactnessError(
             f"f_{k}({s}) = {flat_count(c, k, s)}; the flat is not unique")
-    loops = c.loops() if c.counts else 0
-
-    # restriction: pin a maximal-count size sequence from (k, s) up to (r, n)
-    cnt_up, sizes_up = _best_chain_sizes(c, k, r, s, n)
-    incr_up = tuple(sizes_up[i + 1] - sizes_up[i] for i in range(len(sizes_up) - 1))
+    c.loops()  # a matroid's keys share their first part
     rest: dict[tuple, int] = {}
-    for comp, cnt in c.counts.items():
-        if comp[k + 1:] != incr_up or sum(comp[:k + 1]) != s:
-            continue
-        if cnt % cnt_up:
-            raise ExactnessError(
-                f"restriction coordinate {comp[:k + 1]} = {cnt}/{cnt_up} "
-                "is not integral")
-        rest[comp[:k + 1]] = cnt // cnt_up
-
-    # contraction: pin a sequence from (0, loops) up to (k, s)
-    cnt_dn, sizes_dn = _best_chain_sizes(c, 0, k, loops, s)
-    incr_dn = tuple(sizes_dn[i + 1] - sizes_dn[i] for i in range(len(sizes_dn) - 1))
     contr: dict[tuple, int] = {}
     for comp, cnt in c.counts.items():
-        if comp[1:k + 1] != incr_dn or comp[0] != loops:
-            continue
-        if cnt % cnt_dn:
-            raise ExactnessError(
-                f"contraction coordinate {comp[k + 1:]} = {cnt}/{cnt_dn} "
-                "is not integral")
-        contr[(0,) + comp[k + 1:]] = cnt // cnt_dn
-    return CatenaryData(s, k, rest), CatenaryData(n - s, r - k, contr)
+        if sum(comp[:k + 1]) == s:
+            head, tail = comp[:k + 1], (0,) + comp[k + 1:]
+            rest[head] = rest.get(head, 0) + cnt
+            contr[tail] = contr.get(tail, 0) + cnt
+    return (_divide_marginal(s, k, rest, "restriction"),
+            _divide_marginal(n - s, r - k, contr, "contraction"))

@@ -7,9 +7,11 @@ from hypothesis import given, settings
 
 from gcat import (CatenaryData, ExactnessError, GInvariant, catenary,
                   elements_of, from_graph, g_dual, g_invariant, ginvariant,
-                  uniform)
-from gcat.parameters import (_unit_chain_count, _unit_chains, chain_count,
-                             family_counts, flat_count, flat_count_coloops,
+                  parameters, uniform)
+from gcat.freeproduct import detect_free_product
+from gcat.parameters import (_split_at_unique_flat, _unit_chain_count,
+                             _unit_chains, chain_count, family_counts,
+                             flat_count, flat_count_coloops,
                              g_split_at_unique_flat, has_spanning_circuit)
 from gcat.serialization import catenary_to_json, ginvariant_to_json
 from conftest import K4_EDGES, load_data, presentations
@@ -131,7 +133,7 @@ class TestInputChecks:
          "need 0 <= coloops <= k <= r, got 0, 4, 3"),
         ((flat_count_coloops, 1, 2, 2),
          "need 0 <= coloops <= k <= r, got 2, 1, 3"),
-        ((flat_count, 2, -1), "sizes must strictly increase: (-1,)"),
+        ((flat_count, 2, -1), "sizes must be nonnegative: (-1,)"),
     ])
     def test_value_errors(self, query, text):
         fn, *args = query
@@ -313,3 +315,41 @@ class TestSplitAtUniqueFlat:
                     left, right = g_split_at_unique_flat(g, k, s)
                     assert left == g_invariant(m.restrict(group[0])), (name, k, s)
                     assert right == g_invariant(m.contract(group[0])), (name, k, s)
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(presentations(10))
+    def test_marginals_are_the_minors(self, m):
+        # every unique flat, the loops (k = 0) and E (k = r) among them
+        c = catenary(m)
+        for k in range(m.r + 1):
+            flats = m.flats_of_rank(k)
+            for s in {f.bit_count() for f in flats}:
+                group = [f for f in flats if f.bit_count() == s]
+                if len(group) != 1:
+                    continue
+                left, right = _split_at_unique_flat(c, k, s)
+                assert left == catenary(m.restrict(group[0])), (m, k, s)
+                assert right == catenary(m.contract(group[0])), (m, k, s)
+
+    def test_no_chain_count_scan(self, monkeypatch):
+        def scan(*args):
+            raise AssertionError("chain_count scanned")
+        monkeypatch.setattr(parameters, "chain_count", scan)
+        g = g_invariant(uniform(1, 2).free_product(uniform(2, 3)))
+        left, right = g_split_at_unique_flat(g, 1, 2)
+        assert (left, right) == (g_invariant(uniform(1, 2)),
+                                 g_invariant(uniform(2, 3)))
+        report = detect_free_product(g)
+        assert report.is_proper
+        assert [(k, s) for k, s, _, _ in report.factors] == [(1, 2)]
+
+    @pytest.mark.parametrize("c, k, s", [
+        # the restriction's marginal {(0, 1, 1): 3} is 3/2 times a flag count
+        (CatenaryData(5, 4, {(0, 1, 1, 2, 1): 3}), 2, 2),
+        # the restriction's marginal counts no flag: the contraction's scale is 0
+        (CatenaryData(5, 3, {(0, 1, 3, 1): -2, (0, 3, 1, 1): 2}), 2, 4),
+    ])
+    def test_non_matroid_marginals_rejected(self, c, k, s):
+        assert flat_count(c, k, s) == 1
+        with pytest.raises(ExactnessError):
+            _split_at_unique_flat(c, k, s)
