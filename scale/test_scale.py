@@ -2,7 +2,9 @@
 
 Closed forms serve as the oracles: the flag total of M(K_v) is the number
 of maximal chains of the partition lattice, v!(v-1)!/2^(v-1), its basis
-count is Cayley's v^(v-2), and its G-invariant sums to n!.  The
+count is Cayley's v^(v-2), and its G-invariant sums to n!.  Its Tutte
+polynomial counts the same trees at (1, 1), the 2^n subsets at (2, 2) and
+the v! acyclic orientations at (2, 0).  The
 configuration theorem is checked against the flag count of the matroid
 itself, free-product detection against the parts it was built from, and
 copoint-deck reconstruction against the invariant it was taken from.
@@ -20,7 +22,7 @@ from gcat import (GInvariant, basis_count, catenary, catenary_from_config,
                   catenary_from_g, configuration_of, copoint_deck,
                   detect_free_product, from_graph, g_free_product,
                   g_from_catenary, g_invariant, reconstruct_from_copoint_deck,
-                  recover_n)
+                  recover_n, tutte_from_g)
 from gcat.serialization import configuration_from_json, configuration_to_json
 
 
@@ -38,6 +40,10 @@ def test_k9_flags_and_spanning_trees():
     assert g.total() == math.factorial(36)
     # a fresh copy holds no coordinates, so this is the solve
     assert catenary_from_g(GInvariant(g.n, g.r, g.coeffs)) == c
+    t = tutte_from_g(g)
+    assert t.evaluate(1, 1) == 9 ** 7  # spanning trees
+    assert t.evaluate(2, 2) == 2 ** 36
+    assert t.evaluate(2, 0) == math.factorial(9)  # acyclic orientations
 
 
 def test_k10_flags_and_spanning_trees():

@@ -48,7 +48,9 @@ def _cyclic_census(c: CatenaryData) -> dict[tuple[int, int], int]:
 
     A rank-k flat of size s lies on a flag, so only the pairs
     (k, a_0 + ... + a_k) of the catenary keys can hold one: the sizes of
-    the flat counts in rank k's row of the unit-chain census c holds."""
+    the flat counts in rank k's row of the unit-chain census c holds.  The
+    coloop counts are held on c once solved, so a second census of the
+    same data solves nothing."""
     out: dict[tuple[int, int], int] = {}
     for k in range(c.r + 1):
         for s in sorted(s for s, j in _unit_chains(c, k) if j == 0):

@@ -22,7 +22,7 @@ from __future__ import annotations
 import heapq
 import itertools
 import math
-from collections import Counter
+import operator
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import lru_cache
@@ -143,15 +143,18 @@ class CatenaryData:
     """Flag counts by (n,r)-composition: the gamma-basis coordinates.
 
     `parameters` holds its census of unit chains in `_census`, one row per
-    rank, built on the first query of that rank; like
-    `GInvariant._catenary` the field takes no part in equality, hashing or
-    repr.
+    rank, built on the first query of that rank, and its counts of flats
+    by coloops in `_coloops`, by rank and size, each solved on its first
+    query; like `GInvariant._catenary` the fields take no part in
+    equality, hashing or repr.
     """
 
     n: int
     r: int
     counts: Mapping[tuple, int] = field(default_factory=dict)
     _census: dict[int, dict[tuple[int, int], int | tuple[int, int]]] | None = (
+        field(default=None, init=False, repr=False, compare=False))
+    _coloops: dict[tuple[int, int], tuple[int, ...]] | None = (
         field(default=None, init=False, repr=False, compare=False))
 
     def __post_init__(self):
@@ -508,16 +511,37 @@ def invariant_catenary(g: GInvariant, copies: int | None = 1) -> CatenaryData:
 
 # -- brute-force oracles -------------------------------------------------------
 
-def _expand_shifted(weights) -> dict[tuple[int, int], int]:
-    """Coefficients of x^i y^j in the sum of w (x-1)^a (y-1)^b over the
-    ((a, b), w) items of `weights`."""
+def _shift_down(c: list[int]) -> list[int]:
+    """The coefficients of p(t - 1) from those of p(t), in place.
+
+    Pascal's rule, swept once per degree: pass i subtracts each coefficient
+    from the one below it, down to degree i.  Zeros above the top nonzero
+    coefficient are left out, so a constant costs nothing.
+    """
+    top = len(c) - 1
+    while top > 0 and not c[top]:
+        top -= 1
+    for i in range(top):
+        for j in range(top - 1, i - 1, -1):
+            c[j] -= c[j + 1]
+    return c
+
+
+def _expand_shifted(grid) -> dict[tuple[int, int], int]:
+    """Coefficients of x^i y^j in the sum of grid[a][b] (x-1)^a (y-1)^b over
+    a rectangular grid, keyed in order of j, then i.
+
+    One variable at a time: each row a is shifted in y, which gives the
+    y^j coefficients of sum_b grid[a][b] (y-1)^b, and each y^j column of
+    the result is then shifted in x.  A shift of degree d is d(d+1)/2
+    subtractions and computes no binomial.
+    """
+    rows = [_shift_down(list(row)) for row in grid]
     terms: dict[tuple[int, int], int] = {}
-    for (a, b), w in weights.items():
-        for i in range(a + 1):
-            ci = math.comb(a, i) * (-1) ** (a - i)
-            for j in range(b + 1):
-                cj = math.comb(b, j) * (-1) ** (b - j)
-                terms[i, j] = terms.get((i, j), 0) + w * ci * cj
+    for j, col in enumerate(zip(*rows)):
+        for i, v in enumerate(_shift_down(list(col))):
+            if v:
+                terms[i, j] = v
     return terms
 
 
@@ -550,10 +574,10 @@ def tutte_brute_force(m: Matroid,
     if m.n > limit:
         raise ValueError(f"brute force capped at n <= {limit}, got n = {m.n}")
     table = _rank_table(m)
-    weights: Counter = Counter()
+    grid = [[0] * (m.n - m.r + 1) for _ in range(m.r + 1)]
     for x in range(1 << m.n):
-        weights[(m.r - table[x], x.bit_count() - table[x])] += 1
-    return TuttePolynomial(_expand_shifted(weights))
+        grid[m.r - table[x]][x.bit_count() - table[x]] += 1
+    return TuttePolynomial(_expand_shifted(grid))
 
 
 # -- specializations and closed forms -------------------------------------------
@@ -566,18 +590,35 @@ def tutte_from_g(g: GInvariant) -> TuttePolynomial:
     ones among its first m entries.  The sums run on integers scaled by n!,
     since 1 / (m! (n-m)!) = binomial(n, m) / n!; a coefficient that n! does
     not divide means g is not a matroid invariant.
+
+    A prefix of length i + b holds exactly i ones when the i-th one of the
+    symbol has at most b zeros before it and the (i+1)-th more than b - 1.
+    So each symbol adds its coefficient to r one-position histograms, the
+    j-th at the position of its j-th one, and one prefix sum per histogram
+    over its n - r + 1 possible positions gives, for every (i, b), the
+    coefficient mass whose (i + b)-prefixes hold i ones: |g| r steps for
+    the symbols, (r + 1)(n - r + 1) for the prefix lengths.
     """
     n, r = g.n, g.r
-    binom = [math.comb(n, m) for m in range(n + 1)]
-    powers: dict[tuple[int, int], int] = {}
+    hist = [[0] * n for _ in range(r)]
     for key, c in g.coeffs.items():
-        wt = 0
-        for mlen in range(n + 1):
-            if mlen:
-                wt += key[mlen - 1] == "1"
-            idx = (r - wt, mlen - wt)
-            powers[idx] = powers.get(idx, 0) + c * binom[mlen]
-    terms = _expand_shifted(powers)
+        q = -1
+        for row in hist:
+            q = key.index("1", q + 1)
+            row[q] += c
+    # ones[j][t]: the mass whose j-th one has t zeros before it, for
+    # j = 0..r+1; every symbol has its 0-th one at t = 0 and no (r+1)-th
+    width = n - r + 1
+    ones = [[g.total()] + [0] * (width - 1),
+            *(row[j:j + width] for j, row in enumerate(hist)), [0] * width]
+    binom = [math.comb(n, m) for m in range(n + 1)]
+    grid = []
+    for i in range(r, -1, -1):
+        # the mass whose (i + b)-prefixes hold i ones, for b = 0..n-r
+        steps = map(operator.sub, ones[i], [0, *ones[i + 1]])
+        mass = itertools.accumulate(steps)
+        grid.append(list(map(operator.mul, binom[i:i + width], mass)))
+    terms = _expand_shifted(grid)
     nf = math.factorial(n)
     out = {}
     for key, val in terms.items():

@@ -9,8 +9,10 @@ and signals a non-matroid input.
 Flat and coloop counts need only chains whose sizes step by one, so
 catenary data hold one census of them: each rank's row is built in one pass
 over the keys, on the first query of that rank, and every later count is a
-lookup.  Circuit counts go through the dual, which the invariant holds once
-built (`g_dual`), so a census over sizes solves it once.
+lookup.  The counts of flats by coloops are solved from it once per rank
+and size, and held beside it.  Circuit counts go through the dual, which
+the invariant holds once built (`g_dual`), so a census over sizes solves
+it once.
 """
 
 from __future__ import annotations
@@ -125,18 +127,31 @@ def flat_count(c: CatenaryData, k: int, s: int) -> int:
 
 def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
     """Number of rank-k, size-s flats whose restriction has exactly the
-    given number of coloops.
-
-    Solves the triangular system sum_{j>=c} f_k(s,j) j!/(j-c)! =
-    F_{k-c,k}(s-c, ..., s) downward from c = k, each right-hand side a
-    census entry; coloops = 0 counts the cyclic flats of that rank and size.
+    given number of coloops; coloops = 0 counts the cyclic flats of that
+    rank and size.  The counts of every coloop number are solved together
+    on the first query of (k, s) and held as long as c.
     """
     if not 0 <= coloops <= k <= c.r:
         raise ValueError(f"need 0 <= coloops <= k <= r, got {coloops}, {k}, {c.r}")
     if k > s:
         return 0  # a rank-k flat has at least k elements
     (s,) = _validate_sizes(c, k, k, (s,))
-    f = {}
+    held = c._coloops
+    if held is None:
+        held = {}
+        object.__setattr__(c, "_coloops", held)
+    counts = held.get((k, s))
+    if counts is None:
+        counts = held[k, s] = _solve_coloops(c, k, s)
+    return counts[coloops]
+
+
+def _solve_coloops(c: CatenaryData, k: int, s: int) -> tuple[int, ...]:
+    """f_k(s, 0..k) by the triangular system
+    sum_{j>=c} f_k(s,j) j!/(j-c)! = F_{k-c,k}(s-c, ..., s), solved
+    downward from c = k, each right-hand side a census entry.
+    """
+    f = [0] * (k + 1)
     for cc in range(k, -1, -1):
         acc = (_unit_chain_count(c, k, s, cc)
                - sum(f[j] * math.perm(j, cc) for j in range(cc + 1, k + 1)))
@@ -148,7 +163,7 @@ def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
         if val < 0:
             raise ExactnessError(f"coloop census f_{k}({s},{cc}) = {val} is negative")
         f[cc] = val
-    return f[coloops]
+    return tuple(f)
 
 
 def family_counts(g: GInvariant, kind: str, size: int,

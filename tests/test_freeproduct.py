@@ -102,6 +102,29 @@ class TestDetect:
         assert detect_free_product(g).is_proper
         assert len(solved) == len(set(solved))
 
+    def test_held_census_is_not_solved_again(self, monkeypatch):
+        solved = []
+        solve = gcat.parameters._solve_coloops
+        monkeypatch.setattr(gcat.parameters, "_solve_coloops",
+                            lambda c, k, s: solved.append(c) or solve(c, k, s))
+        # K4 has no candidate rank: a second detection solves nothing
+        k4 = g_invariant(from_graph(K4_EDGES))
+        assert not detect_free_product(k4).is_proper
+        assert solved
+        solved.clear()
+        assert not detect_free_product(k4).is_proper
+        assert solved == []
+        # a proper product: G's counts are held, and only the split parts,
+        # fresh data on every call, are solved again
+        g = g_invariant(from_graph(K4_EDGES).free_product(uniform(2, 4)))
+        first = detect_free_product(g)
+        assert first.is_proper
+        c = catenary_from_g(g)
+        assert any(d is c for d in solved)
+        solved.clear()
+        assert detect_free_product(g) == first
+        assert solved and not any(d is c for d in solved)
+
     def test_sharp_products_recover_parts(self, corpus, named, cache):
         pool = [(name, m) for name, m in corpus
                 if m.n <= 4 and not m.coloops() and not m.closure(0)

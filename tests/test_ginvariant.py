@@ -18,8 +18,8 @@ from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   gamma_expand, gamma_one,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
-from gcat.ginvariant import (_flag_walk, gamma_coeffs, invariant_catenary,
-                             invariant_copies)
+from gcat.ginvariant import (_expand_shifted, _flag_walk, gamma_coeffs,
+                             invariant_catenary, invariant_copies)
 from gcat.matroid import Matroid
 from gcat.serialization import ginvariant_to_json
 from conftest import FANO_LINES, K4_EDGES, load_data, presentations
@@ -654,6 +654,70 @@ class TestTutte:
             with pytest.raises(ExactnessError) as exc:
                 tutte_from_g(g)
             assert str(exc.value) == f"Tutte coefficient {msg}: not an integer"
+
+
+def _subset_sum(m, x, y):
+    """The corank-nullity sum at (x, y), one rank call per subset."""
+    total = 0
+    for mask in range(1 << m.n):
+        rk = m.rank(mask)
+        total += (x - 1) ** (m.r - rk) * (y - 1) ** (mask.bit_count() - rk)
+    return total
+
+
+GRID = [(x, y) for x in (-2, 0, 1, 3) for y in (-1, 0, 2, 5)]
+
+
+class TestTutteOracles:
+    """Oracles that share no code with the shifted expansion."""
+
+    def test_expansion_is_the_shifted_sum(self):
+        rng = random.Random(41)
+        # a single row and a single column are the a = 0 and b = 0 cases
+        shapes = [(1, 1), (1, 6), (6, 1), (3, 4), (5, 5)]
+        for _ in range(60):
+            wide, tall = shapes[rng.randrange(len(shapes))]
+            grid = [[rng.choice((0, 0, rng.randint(-9, 9), 10 ** 20))
+                     for _ in range(tall)] for _ in range(wide)]
+            t = TuttePolynomial(_expand_shifted(grid))
+            for x, y in GRID:
+                want = sum(w * (x - 1) ** a * (y - 1) ** b
+                           for a, row in enumerate(grid)
+                           for b, w in enumerate(row))
+                assert t.evaluate(x, y) == want, (grid, x, y)
+
+    def test_expansion_keys_go_by_y_then_x(self):
+        # tutte_from_g names the first term n! does not divide in this order
+        terms = _expand_shifted([[0, 1], [1, 0], [2, 0]])
+        assert terms == {(1, 0): -3, (2, 0): 2, (0, 1): 1}
+        assert list(terms) == sorted(terms, key=lambda ij: ij[::-1])
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(presentations(8))
+    def test_specialization_is_the_subset_sum(self, m):
+        t = tutte_from_g(g_invariant(m))
+        for x, y in GRID:
+            assert t.evaluate(x, y) == _subset_sum(m, x, y), (m, x, y)
+
+    @pytest.mark.parametrize("m", [
+        uniform(0, 0), uniform(0, 4), uniform(4, 4), uniform(2, 5),
+        uniform(1, 1).direct_sum(uniform(0, 2)),
+        from_graph([(0, 0), (0, 1), (0, 1), (1, 2), (2, 2)]),
+    ], ids=["U(0,0)", "U(0,4)", "U(4,4)", "U(2,5)", "coloop+2 loops",
+            "graph with loops"])
+    def test_edge_shapes(self, m):
+        g = g_invariant(m)
+        t = tutte_from_g(g)
+        assert t == tutte_brute_force(m)
+        assert tutte_from_g(GInvariant(g.n, g.r, g.coeffs)) == t
+        for x, y in GRID:
+            assert t.evaluate(x, y) == _subset_sum(m, x, y)
+
+    def test_closed_forms(self):
+        assert tutte_from_g(GInvariant(0, 0, {"": 1})).terms == {(0, 0): 1}
+        assert tutte_from_g(g_invariant(uniform(0, 5))).terms == {(0, 5): 1}
+        assert tutte_from_g(g_invariant(uniform(5, 5))).terms == {(5, 0): 1}
+        assert tutte_from_g(GInvariant(3, 1, {})).terms == {}
 
 
 class TestBasisCount:

@@ -353,3 +353,17 @@ class TestSplitAtUniqueFlat:
         assert flat_count(c, k, s) == 1
         with pytest.raises(ExactnessError):
             _split_at_unique_flat(c, k, s)
+
+    @pytest.mark.parametrize("c, k, s, text", [
+        # both marginals scale by 2, but the restriction's (0, 2, 1) is 3
+        (CatenaryData(5, 4, {(0, 1, 1, 2, 1): 1, (0, 2, 1, 1, 1): 3}), 2, 3,
+         "restriction coordinate (0, 2, 1) = 3/2 is not integral"),
+        # a matroid's keys share their loop count; these do not
+        (CatenaryData(3, 2, {(0, 2, 1): 3, (1, 1, 1): 2}), 0, 1,
+         "inconsistent loop counts across keys: [0, 1]"),
+    ])
+    def test_reachable_checks_name_the_defect(self, c, k, s, text):
+        assert flat_count(c, k, s) == 1
+        with pytest.raises(ExactnessError) as exc:
+            _split_at_unique_flat(c, k, s)
+        assert str(exc.value) == text
