@@ -21,8 +21,8 @@ import pytest
 from gcat import (GInvariant, basis_count, catenary, catenary_from_config,
                   catenary_from_g, configuration_of, copoint_deck,
                   detect_free_product, from_graph, g_free_product,
-                  g_from_catenary, g_invariant, reconstruct_from_copoint_deck,
-                  recover_n, tutte_from_g)
+                  g_from_catenary, g_invariant, parameters,
+                  reconstruct_from_copoint_deck, recover_n, tutte_from_g)
 from gcat.serialization import configuration_from_json, configuration_to_json
 
 
@@ -56,7 +56,7 @@ def test_k10_flags_and_spanning_trees():
     assert basis_count(c) == 10 ** 8
 
 
-def test_k5_k6_free_product_detect_then_rebuild():
+def test_k5_k6_free_product_detect_then_rebuild(monkeypatch):
     left, right = g_invariant(complete(5)), g_invariant(complete(6))
     g = g_free_product(left, right)
     assert g.n == 25 and g.total() == math.factorial(25)
@@ -65,6 +65,14 @@ def test_k5_k6_free_product_detect_then_rebuild():
     (_, _, got_left, got_right), = rep.factors
     assert (got_left, got_right) == (left, right)
     assert g_free_product(got_left, got_right) == g
+    # g's data hold their coloop counts and the split parts, which hold
+    # theirs, so a second detection solves nothing
+    solved = []
+    solve = parameters._solve_coloops
+    monkeypatch.setattr(parameters, "_solve_coloops",
+                        lambda c, k, s: solved.append((k, s)) or solve(c, k, s))
+    assert detect_free_product(g) == rep
+    assert solved == []
 
 
 @pytest.mark.parametrize("v, nodes, pairs", [(7, 205, 1_709),

@@ -13,7 +13,7 @@ import math
 
 from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum,
-                         catenary_from_g, g_from_catenary)
+                         catenary_from_g, g_from_catenary, held)
 
 
 def _accumulate(pairs) -> dict:
@@ -25,6 +25,9 @@ def _accumulate(pairs) -> dict:
 
 # -- dual, truncation, lift ---------------------------------------------------
 
+_SWAP = str.maketrans("01", "10")
+
+
 def g_dual(g: GInvariant) -> GInvariant:
     """Reverse each symbol and switch 0s and 1s; coefficients unchanged.
 
@@ -32,11 +35,8 @@ def g_dual(g: GInvariant) -> GInvariant:
     with whatever gamma coordinates it holds: each dual is solved at most
     once.
     """
-    if g._dual is None:
-        swap = str.maketrans("01", "10")
-        coeffs = {key[::-1].translate(swap): c for key, c in g.coeffs.items()}
-        object.__setattr__(g, "_dual", GInvariant(g.n, g.n - g.r, coeffs))
-    return g._dual
+    return held(g, "dual", lambda g: GInvariant(g.n, g.n - g.r, {
+        key[::-1].translate(_SWAP): c for key, c in g.coeffs.items()}))
 
 
 def _demote(key: str) -> str:

@@ -9,7 +9,8 @@ are invisible to the invariant by design, so only proper factorizations
 The cyclic flats of each rank and size come from the census of unit chains
 the catenary data hold (`parameters`), so the detection pays for one pass
 over the keys per rank of M and of each split part, and reads every count
-after that.
+after that.  M's data hold the split parts too, so a second detection on
+the same G solves nothing.
 """
 
 from __future__ import annotations

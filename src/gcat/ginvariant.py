@@ -7,11 +7,11 @@ all n! element orderings, the rank sequence each ordering produces.  The
 catenary data counts flags (maximal chains of flats) by composition, and is
 the coordinate vector of the G-invariant in the triangular gamma basis.
 
-The two carry the same information, so a G-invariant holds its gamma
-coordinates once they are known: `g_from_catenary` stores the data it
-expanded, and `catenary_from_g` stores what it solved, so each invariant is
-solved at most once.  An invariant read from outside (a file, a deck) holds
-none, so it always gets the full solve and its checks.
+The two carry the same information, so each value holds what has been
+computed from it in one memo map (`held`): a G-invariant its gamma
+coordinates, which `g_from_catenary` stores and `catenary_from_g` solves
+once.  An invariant read from outside (a file, a deck) holds none, so it
+always gets the full solve and its checks.
 
 All coefficients are exact Python ints; the Tutte specialization runs on
 integers scaled by n!, and n! must divide every coefficient.
@@ -92,20 +92,16 @@ def _clean(mapping) -> dict:
 class GInvariant:
     """Integer vector on the rank-sequence symbols of shape (n, r).
 
-    A G built by `g_from_catenary` from data with no negative count, or
-    once solved by `catenary_from_g`, holds its gamma coordinates in
-    `_catenary`, and once dualised by `constructions.g_dual` holds its dual
-    in `_dual`; neither field takes part in equality, hashing or repr.  A G
-    read from a file comes straight from this constructor, so it holds none.
+    `_held` is the memo map of `held`; it takes no part in equality,
+    hashing or repr.  A G read from a file comes straight from this
+    constructor, so it holds nothing.
     """
 
     n: int
     r: int
     coeffs: Mapping[str, int] = field(default_factory=dict)
-    _catenary: CatenaryData | None = field(
-        default=None, init=False, repr=False, compare=False)
-    _dual: GInvariant | None = field(
-        default=None, init=False, repr=False, compare=False)
+    _held: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         coeffs = _clean(self.coeffs)
@@ -142,20 +138,14 @@ class GInvariant:
 class CatenaryData:
     """Flag counts by (n,r)-composition: the gamma-basis coordinates.
 
-    `parameters` holds its census of unit chains in `_census`, one row per
-    rank, built on the first query of that rank, and its counts of flats
-    by coloops in `_coloops`, by rank and size, each solved on its first
-    query; like `GInvariant._catenary` the fields take no part in
-    equality, hashing or repr.
+    `_held` is the memo map of `held`, as on `GInvariant`.
     """
 
     n: int
     r: int
     counts: Mapping[tuple, int] = field(default_factory=dict)
-    _census: dict[int, dict[tuple[int, int], int | tuple[int, int]]] | None = (
-        field(default=None, init=False, repr=False, compare=False))
-    _coloops: dict[tuple[int, int], tuple[int, ...]] | None = (
-        field(default=None, init=False, repr=False, compare=False))
+    _held: dict = field(default_factory=dict, init=False, repr=False,
+                        compare=False)
 
     def __post_init__(self):
         counts = {}
@@ -227,6 +217,17 @@ class TuttePolynomial:
             term(i, j, c) for (i, j), c in sorted(self.terms.items(), reverse=True)
         ).replace(" + -", " - ")
         return f"TuttePolynomial({body or 0})"
+
+
+def held(value, key, compute, *args):
+    """compute(value, *args), run on the first call for `key` and held in
+    value's memo map as long as value lives.  The module that computes an
+    entry owns its key."""
+    memo = value._held
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute(value, *args)
+    return out
 
 
 # -- gamma basis --------------------------------------------------------------
@@ -411,7 +412,7 @@ def g_from_catenary(c: CatenaryData) -> GInvariant:
             acc[key] = acc.get(key, 0) + cnt * coeff
     g = GInvariant(c.n, c.r, acc)
     if min(c.counts.values(), default=1) > 0:
-        object.__setattr__(g, "_catenary", c)
+        g._held["catenary"] = c
     return g
 
 
@@ -438,9 +439,7 @@ def catenary_from_g(g: GInvariant) -> CatenaryData:
     An invariant read from outside holds nothing, so it is always solved
     and checked here; one that `g_from_catenary` built holds its data.
     """
-    if g._catenary is None:
-        object.__setattr__(g, "_catenary", _gamma_solve(g))
-    return g._catenary
+    return held(g, "catenary", _gamma_solve)
 
 
 def _gamma_solve(g: GInvariant) -> CatenaryData:

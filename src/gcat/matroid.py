@@ -9,14 +9,15 @@ by its bases, the largest intersection with a basis.  A derived matroid
 a transform of its parents' rank, so it keeps them alive; only a minor of a
 graph is built afresh, as a graph.  Closure comes from the presentation
 where one supplies it: graph, uniform, paving, Dowling and cyclic-flat
-matroids, and a minor of any of these.  Every other matroid closes a set by
-one rank call per element outside it.  The covers of a flat, from which the
+matroids, and a minor of any of these, which closes through its parent's
+presentation.  Every other matroid closes a set by one rank call per element
+outside it.  No closure is stored.  The covers of a flat, from which the
 flats and the flag walk are built, cost one closure each, except where the
 presentation lists them: a graph reads every cover of a flat off one
-union-find of its components, so its walk stores no closure.  `catenary`
-walks the flats below the coloops in place, with no minor built.  A paving
-presentation of rank r >= 2 (uniform, paving, Dowling) knows how many
-copoints it has of each size, which fixes its catenary data (the census
+union-find of its components, so its walk closes only the bottom flat.
+`catenary` walks the flats below the coloops in place, with no minor built.
+A paving presentation of rank r >= 2 (uniform, paving, Dowling) knows how
+many copoints it has of each size, which fixes its catenary data (the census
 theorem), so `catenary` walks no flats for it; no derived matroid carries
 that census.  Each presentation but a basis family is a matroid by
 construction, so only `from_bases` checks basis exchange, on every family.
@@ -77,7 +78,7 @@ class Matroid:
 
     __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
                  "_covers_of", "_minor_of", "copoint_sizes", "_rank_cache",
-                 "_flats_by_rank", "_circuits", "_closure_cache")
+                 "_flats_by_rank", "_circuits")
 
     def __init__(self, n: int, rank_of, *, closure_of=None, covers_of=None,
                  minor_of=None, copoint_sizes=None):
@@ -91,7 +92,6 @@ class Matroid:
         self.r = rank_of(self.full)
         self._bases = None
         self._rank_cache = {0: 0}
-        self._closure_cache = {}
         self._flats_by_rank = None
         self._circuits = None
 
@@ -157,18 +157,13 @@ class Matroid:
         return cached
 
     def closure(self, x: int) -> int:
-        cached = self._closure_cache.get(x)
-        if cached is None:
-            if self._closure_of is not None:
-                cached = self._closure_of(x)
-            else:
-                rx = self.rank(x)
-                cached = x
-                for e in elements_of(self.full & ~x):
-                    if self.rank(x | (1 << e)) == rx:
-                        cached |= 1 << e
-            self._closure_cache[x] = cached
-        return cached
+        if self._closure_of is not None:
+            return self._closure_of(x)
+        rx, out = self.rank(x), x
+        for e in elements_of(self.full & ~x):
+            if self.rank(x | (1 << e)) == rx:
+                out |= 1 << e
+        return out
 
     def is_loop(self, e: int) -> bool:
         return self.rank(1 << e) == 0
@@ -277,10 +272,7 @@ class Matroid:
         Remaining elements keep their relative order; a set of them ranks
         as r(X | contract) - r(contract) once mapped back.  When M closes
         from its presentation, so does the minor: cl(X) is
-        cl_M(X | contract) less contract and delete, mapped back.  A closure
-        M already holds is read from M's cache (sibling minors, such as a
-        deck's, share M's walk); any other comes from M's uncached closure
-        and is stored in the minor alone, never copied into M.  A
+        cl_M(X | contract) less contract and delete, mapped back.  A
         presentation that builds its own minors (`minor_of`) does so: a
         graph's minor is the graph with each contracted edge's ends merged
         and the deleted edges gone, which ranks, closes and lists its
@@ -304,13 +296,11 @@ class Matroid:
 
         closure_of = None
         if self._closure_of is not None:
-            held, parent_closure = self._closure_cache, self._closure_of
+            parent_closure = self._closure_of
             index = {bit: 1 << i for i, bit in enumerate(keep)}
 
             def closure_of(x):
-                y = lift(x)
-                cy = held.get(y)
-                y = (parent_closure(y) if cy is None else cy) & remain
+                y = parent_closure(lift(x)) & remain
                 out = 0
                 while y:
                     low = y & -y

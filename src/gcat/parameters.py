@@ -7,12 +7,14 @@ divisions are exact-integer checked; a failure names the violated identity
 and signals a non-matroid input.
 
 Flat and coloop counts need only chains whose sizes step by one, so
-catenary data hold one census of them: each rank's row is built in one pass
-over the keys, on the first query of that rank, and every later count is a
-lookup.  The counts of flats by coloops are solved from it once per rank
-and size, and held beside it.  Circuit counts go through the dual, which
-the invariant holds once built (`g_dual`), so a census over sizes solves
-it once.
+catenary data hold one census of them in their memo map (`held`), under
+("unit chains", k): each rank's row is built in one pass over the keys, on
+the first query of that rank, and every later count is a lookup.  The
+counts of flats by coloops are solved from it once per rank and size and
+held under ("coloops", k, s), and the two parts of a split at a unique
+flat under ("split", k, s), so a second split solves nothing.  Circuit
+counts go through the dual, which the invariant holds once built
+(`g_dual`), so a census over sizes solves it once.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import math
 from .constructions import g_dual
 from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
-                         g_from_catenary, gamma_one)
+                         g_from_catenary, gamma_one, held)
 
 
 def _validate_sizes(c: CatenaryData, h: int, k: int, sizes) -> tuple[int, ...]:
@@ -75,8 +77,14 @@ def _not_integral(h: int, k: int, sizes: tuple, total: int, denom: int
 
 def _unit_chains(c: CatenaryData, k: int
                  ) -> dict[tuple[int, int], int | tuple[int, int]]:
-    """Rank k's row of the census of unit chains that c holds: the chain
-    count F_{k-j,k}(s-j, ..., s) under (s, j).
+    """Rank k's row of the census of unit chains that c holds."""
+    return held(c, ("unit chains", k), _unit_chain_row, k)
+
+
+def _unit_chain_row(c: CatenaryData, k: int
+                    ) -> dict[tuple[int, int], int | tuple[int, int]]:
+    """Rank k's row of the census of unit chains: the chain count
+    F_{k-j,k}(s-j, ..., s) under (s, j).
 
     Such a chain's sizes step by one, so it matches the keys whose parts
     k-j+1..k are all 1 and whose first k+1 parts sum to s.  One pass over
@@ -84,29 +92,21 @@ def _unit_chains(c: CatenaryData, k: int
     numerator, count * gamma_one(head) * gamma_one(tail), under every j
     down the run of 1-parts that ends at part k.  Each sum is then divided
     by (s-j)! (n-s)!; one that does not divide, so c is no matroid's, is
-    held as its numerator and denominator.  The row is built on the first
-    query of rank k and held as long as c.
+    held as its numerator and denominator.
     """
-    census = c._census
-    if census is None:
-        census = {}
-        object.__setattr__(c, "_census", census)
-    row = census.get(k)
-    if row is None:
-        row = {}
-        for comp, cnt in c.counts.items():
-            s = sum(comp[:k + 1])
-            tail = cnt * gamma_one((0,) + comp[k + 1:])
-            j = 0
-            while True:
-                row[s, j] = row.get((s, j), 0) + tail * gamma_one(comp[:k - j + 1])
-                if j == k or comp[k - j] != 1:
-                    break
-                j += 1
-        for (s, j), total in row.items():
-            denom = math.factorial(s - j) * math.factorial(c.n - s)
-            row[s, j] = (total, denom) if total % denom else total // denom
-        census[k] = row
+    row = {}
+    for comp, cnt in c.counts.items():
+        s = sum(comp[:k + 1])
+        tail = cnt * gamma_one((0,) + comp[k + 1:])
+        j = 0
+        while True:
+            row[s, j] = row.get((s, j), 0) + tail * gamma_one(comp[:k - j + 1])
+            if j == k or comp[k - j] != 1:
+                break
+            j += 1
+    for (s, j), total in row.items():
+        denom = math.factorial(s - j) * math.factorial(c.n - s)
+        row[s, j] = (total, denom) if total % denom else total // denom
     return row
 
 
@@ -136,14 +136,7 @@ def flat_count_coloops(c: CatenaryData, k: int, s: int, coloops: int) -> int:
     if k > s:
         return 0  # a rank-k flat has at least k elements
     (s,) = _validate_sizes(c, k, k, (s,))
-    held = c._coloops
-    if held is None:
-        held = {}
-        object.__setattr__(c, "_coloops", held)
-    counts = held.get((k, s))
-    if counts is None:
-        counts = held[k, s] = _solve_coloops(c, k, s)
-    return counts[coloops]
+    return held(c, ("coloops", k, s), _solve_coloops, k, s)[coloops]
 
 
 def _solve_coloops(c: CatenaryData, k: int, s: int) -> tuple[int, ...]:
@@ -237,10 +230,17 @@ def _divide_marginal(n: int, r: int, sums: dict[tuple, int], side: str
 
 def _split_at_unique_flat(c: CatenaryData, k: int, s: int
                           ) -> tuple[CatenaryData, CatenaryData]:
-    """`g_split_at_unique_flat` from catenary data to catenary data, in one
-    pass over the keys whose first k+1 parts sum to s: summing out each
-    key's tail gives the restriction's marginal, its head the
-    contraction's."""
+    """`g_split_at_unique_flat` from catenary data to catenary data, held
+    in c's memo map, so the parts keep their own census and coloop
+    counts."""
+    return held(c, ("split", k, s), _split_marginals, k, s)
+
+
+def _split_marginals(c: CatenaryData, k: int, s: int
+                     ) -> tuple[CatenaryData, CatenaryData]:
+    """The split, in one pass over the keys whose first k+1 parts sum to
+    s: summing out each key's tail gives the restriction's marginal, its
+    head the contraction's."""
     n, r = c.n, c.r
     if not 0 <= k <= r:
         raise ValueError(f"flat rank {k} out of range 0..{r}")

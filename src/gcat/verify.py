@@ -35,6 +35,12 @@ def _exhaustive_flat_census(m: Matroid):
     return flats
 
 
+def _require(ok: bool, detail="") -> None:
+    """Fail a check, as `assert` would, but also under `python -O`."""
+    if not ok:
+        raise AssertionError(detail)
+
+
 def dc_sum_check(m: Matroid) -> bool | str:
     """Verify the all-deletions and all-contractions concatenation identities.
 
@@ -84,7 +90,7 @@ def run_verify(m: Matroid, deep: bool = False):
 
     @check("dual-involution")
     def _():
-        assert m.dual().dual().bases == m.bases
+        _require(m.dual().dual().bases == m.bases)
 
     @check("coefficient-total-n-factorial")
     def _():
@@ -94,25 +100,25 @@ def run_verify(m: Matroid, deep: bool = False):
     def _():
         top = "1" * m.r + "0" * (m.n - m.r)
         expect = math.factorial(m.r) * math.factorial(m.n - m.r) * len(m.bases)
-        assert g[top] == expect, f"{g[top]} != {expect}"
+        _require(g[top] == expect, f"{g[top]} != {expect}")
 
     @check("gamma-roundtrip")
     def _():
         # g holds cat; a copy holds nothing, so the solve runs
-        assert catenary_from_g(GInvariant(g.n, g.r, g.coeffs)) == cat
+        _require(catenary_from_g(GInvariant(g.n, g.r, g.coeffs)) == cat)
 
     @check("basis-count-formula")
     def _():
-        assert basis_count(cat) == len(m.bases)
+        _require(basis_count(cat) == len(m.bases))
 
     if m.n <= DEFAULT_ORACLE_LIMIT:
         @check("permutation-oracle")
         def _():
-            assert g_brute_force(m) == g
+            _require(g_brute_force(m) == g)
 
         @check("tutte-specialization-vs-subsets")
         def _():
-            assert tutte_from_g(g) == tutte_brute_force(m)
+            _require(tutte_from_g(g) == tutte_brute_force(m))
 
     # each rank's slicing sum, shared by the checks; a raise is not cached,
     # so each check that asks records it under its own name
@@ -121,25 +127,26 @@ def run_verify(m: Matroid, deep: bool = False):
     @check("slicing-at-every-rank")
     def _():
         for k in range(m.r + 1):
-            assert slice_at(k) == g, f"rank {k}"
+            _require(slice_at(k) == g, f"rank {k}")
 
     if m.r >= 2:
         @check("copoint-deck-roundtrip")
         def _():
             deck = copoint_deck(m)
-            assert recover_n(deck) == m.n
-            assert reconstruct_from_copoint_deck(deck) == g
-            assert reconstruct_from_copoint_deck(size_grouped_copoint_deck(m)) == g
+            _require(recover_n(deck) == m.n)
+            _require(reconstruct_from_copoint_deck(deck) == g)
+            _require(reconstruct_from_copoint_deck(
+                size_grouped_copoint_deck(m)) == g)
 
     if m.n - m.r >= 2:
         @check("circuit-deck-roundtrip")
         def _():
-            assert circuit_deck_reconstruct(circuit_deck(m)) == g
+            _require(circuit_deck_reconstruct(circuit_deck(m)) == g)
 
     if m.n >= 1:
         @check("deletion-contraction-sums")
         def _():
-            assert dc_sum_check(m) is True
+            _require(dc_sum_check(m) is True)
 
     if m.r >= 1:
         @check("copoint-recursion")
@@ -151,7 +158,7 @@ def run_verify(m: Matroid, deep: bool = False):
                 for comp, v in sub.counts.items():
                     key = comp + (a_r,)
                     agg[key] = agg.get(key, 0) + v
-            assert agg == dict(cat.counts)
+            _require(agg == dict(cat.counts))
 
     if deep:
         census = _exhaustive_flat_census(m)
@@ -161,7 +168,7 @@ def run_verify(m: Matroid, deep: bool = False):
             for k in range(m.r + 1):
                 for s in range(m.n + 1):
                     expect = len(census.get((k, s), []))
-                    assert params.flat_count(cat, k, s) == expect, (k, s)
+                    _require(params.flat_count(cat, k, s) == expect, (k, s))
 
         @check("coloop-census-vs-exhaustive")
         def _():
@@ -172,8 +179,8 @@ def run_verify(m: Matroid, deep: bool = False):
                                if m.rank(f & ~(1 << e)) == k - 1)
                     by_c[ncol] = by_c.get(ncol, 0) + 1
                 for c in range(k + 1):
-                    assert params.flat_count_coloops(cat, k, s, c) \
-                        == by_c.get(c, 0), (k, s, c)
+                    _require(params.flat_count_coloops(cat, k, s, c)
+                             == by_c.get(c, 0), (k, s, c))
 
         @check("family-counts-vs-exhaustive")
         def _():
@@ -181,19 +188,19 @@ def run_verify(m: Matroid, deep: bool = False):
             cocircuits = m.cocircuits()
             cyc = m.cyclic_sets()
             for s in range(m.n + 1):
-                assert params.family_counts(g, "circuit", s) \
-                    == sum(1 for c in circuits if c.bit_count() == s), s
-                assert params.family_counts(g, "cocircuit", s) \
-                    == sum(1 for c in cocircuits if c.bit_count() == s), s
+                _require(params.family_counts(g, "circuit", s) == sum(
+                    1 for c in circuits if c.bit_count() == s), s)
+                _require(params.family_counts(g, "cocircuit", s) == sum(
+                    1 for c in cocircuits if c.bit_count() == s), s)
                 for j in range(m.r + 1):
-                    assert params.family_counts(g, "cyclic_set", s, j) == sum(
+                    _require(params.family_counts(g, "cyclic_set", s, j) == sum(
                         1 for c in cyc
-                        if c.bit_count() == s and m.rank(c) == j), (s, j)
+                        if c.bit_count() == s and m.rank(c) == j), (s, j))
 
         @check("spanning-circuit")
         def _():
             expect = any(c.bit_count() == m.r + 1 for c in m.circuits())
-            assert params.has_spanning_circuit(g) == expect
+            _require(params.has_spanning_circuit(g) == expect)
 
         @check("unique-flat-split")
         def _():
@@ -201,13 +208,13 @@ def run_verify(m: Matroid, deep: bool = False):
                 if len(flats) != 1:
                     continue
                 left, right = params.g_split_at_unique_flat(g, k, s)
-                assert left == g_invariant(m.restrict(flats[0])), (k, s)
-                assert right == g_invariant(m.contract(flats[0])), (k, s)
+                _require(left == g_invariant(m.restrict(flats[0])), (k, s))
+                _require(right == g_invariant(m.contract(flats[0])), (k, s))
 
         if not m.coloops():
             @check("configuration-catenary")
             def _():
-                assert catenary_from_config(configuration_of(m)) == cat
+                _require(catenary_from_config(configuration_of(m)) == cat)
 
         @check("freeproduct-detection-vs-lattice")
         def _():
@@ -217,17 +224,17 @@ def run_verify(m: Matroid, deep: bool = False):
             pins = [f for f in masks if f not in (bottom, top)
                     and all(f & ~y == 0 or y & ~f == 0 for y in masks)]
             rep = detect_free_product(g)
-            assert rep.is_proper == bool(pins)
+            _require(rep.is_proper == bool(pins))
             expect = {(g_invariant(m.restrict(f)), g_invariant(m.contract(f)))
                       for f in pins}
-            assert {(left, right)
-                    for _, _, left, right in rep.factors} == expect
+            _require({(left, right)
+                      for _, _, left, right in rep.factors} == expect)
 
         @check("relaxation-delta")
         def _():
             for x in m.copoints():
                 if m.is_circuit(x):
-                    assert cons.g_relax(g) == g_invariant(m.relax(x))
+                    _require(cons.g_relax(g) == g_invariant(m.relax(x)))
 
         @check("averaged-slicing")
         def _():
@@ -235,9 +242,9 @@ def run_verify(m: Matroid, deep: bool = False):
             for k in range(m.r + 1):
                 for key, c in slice_at(k).coeffs.items():
                     total[key] = total.get(key, 0) + c
-            assert all(v % (m.r + 1) == 0 for v in total.values())
+            _require(all(v % (m.r + 1) == 0 for v in total.values()))
             scaled = {key: v // (m.r + 1) for key, v in total.items()}
-            assert scaled == dict(g.coeffs)
+            _require(scaled == dict(g.coeffs))
 
     passed = all(c["status"] == "pass" for c in checks)
     return passed, checks

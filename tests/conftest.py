@@ -160,6 +160,14 @@ def named(corpus):
 TRIANGLE = mask_of([0, 1, 3])
 
 
+def closures(m: Matroid) -> list[int]:
+    """Every set m closes from its presentation from now on, in order."""
+    closed: list[int] = []
+    close = m._closure_of
+    m._closure_of = lambda x: closed.append(x) or close(x)
+    return closed
+
+
 def gf_rank(vectors, q: int) -> int:
     """Rank of integer vectors over GF(q), q prime; test-side oracle."""
     rows = [list(v) for v in vectors]

@@ -1,6 +1,9 @@
 """End-to-end CLI behavior: commands, formats, determinism, exit codes."""
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -11,6 +14,15 @@ from gcat.serialization import (canonical_dumps, deck_to_json,
                                 ginvariant_to_json)
 from gcat.verify import run_verify
 from conftest import DATA, K4_EDGES
+
+# a verify run on a triangle with the permutation oracle made wrong
+WRONG_ORACLE = """
+import gcat.verify as v
+from gcat import GInvariant, from_graph
+v.g_brute_force = lambda m: GInvariant(m.n, m.r, {})
+_, checks = v.run_verify(from_graph([(0, 1), (1, 2), (0, 2)]))
+print({c["name"]: c["status"] for c in checks}["permutation-oracle"])
+"""
 
 
 def run(capsys, *argv):
@@ -342,6 +354,20 @@ class TestVerify:
         passed, checks = run_verify(uniform(2, 10))
         assert passed
         assert "permutation-oracle" not in {c["name"] for c in checks}
+
+    @pytest.mark.parametrize("flags", [[], ["-O"]], ids=["plain", "-O"])
+    def test_a_wrong_oracle_fails_under_python_o(self, flags):
+        # python -O strips assert statements, so no check may be one
+        env = dict(os.environ)
+        src = str(DATA.parent.parent / "src")
+        env["PYTHONPATH"] = os.pathsep.join(
+            p for p in (src, env.get("PYTHONPATH", "")) if p)
+        env.pop("PYTHONOPTIMIZE", None)
+        proc = subprocess.run([sys.executable, *flags, "-c", WRONG_ORACLE],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "fail\n"
 
 
 class TestErrors:

@@ -114,16 +114,17 @@ class TestDetect:
         solved.clear()
         assert not detect_free_product(k4).is_proper
         assert solved == []
-        # a proper product: G's counts are held, and only the split parts,
-        # fresh data on every call, are solved again
+        # a proper product: G's data hold their counts and the split parts,
+        # which hold theirs, so a second detection solves nothing
         g = g_invariant(from_graph(K4_EDGES).free_product(uniform(2, 4)))
         first = detect_free_product(g)
         assert first.is_proper
         c = catenary_from_g(g)
         assert any(d is c for d in solved)
+        assert any(d is not c for d in solved)
         solved.clear()
         assert detect_free_product(g) == first
-        assert solved and not any(d is c for d in solved)
+        assert solved == []
 
     def test_sharp_products_recover_parts(self, corpus, named, cache):
         pool = [(name, m) for name, m in corpus

@@ -198,13 +198,18 @@ class TestHeldCensusAndDual:
     """The census and the dual are held, invisibly, as long as their owner."""
 
     def test_holding_changes_no_output(self):
-        c = catenary(from_graph(K4_EDGES))
+        g = g_invariant(from_graph(K4_EDGES).free_product(uniform(2, 4)))
+        c = ginvariant.catenary_from_g(g)
         fresh_c = CatenaryData(c.n, c.r, c.counts)
-        g = g_invariant(from_graph(K4_EDGES))
         fresh_g = GInvariant(g.n, g.r, g.coeffs)
+        # a proper detection fills c's map with the census, the coloop
+        # counts and the split parts
+        assert detect_free_product(g).is_proper
         for k in range(c.r + 1):
             flat_count(c, k, 3)
-        assert c._census is not None and g_dual(g) is g_dual(g)
+        assert {key[0] for key in c._held} == {"unit chains", "coloops",
+                                                "split"}
+        assert g._held == {"catenary": c} and g_dual(g) is g_dual(g)
         assert c == fresh_c and hash(c) == hash(fresh_c)
         assert repr(c) == repr(fresh_c)
         assert catenary_to_json(c) == catenary_to_json(fresh_c)

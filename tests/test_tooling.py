@@ -1,6 +1,6 @@
 """The demos run clean, the benchmark's tracer finds every layer, the
-README documents every CLI command, and the invariant layer imports no
-matroid."""
+README documents every CLI command, the invariant layer imports no
+matroid, and no gcat module holds an assert statement."""
 
 import argparse
 import ast
@@ -76,3 +76,12 @@ def test_invariant_layer_imports_no_matroid(module):
     imported = _imported_modules(ROOT / "src" / "gcat" / f"{module}.py")
     assert not {name for name in imported
                 if name == "gcat.matroid" or name.startswith("gcat.matroid.")}
+
+
+def test_no_assert_in_gcat():
+    # python -O strips assert statements, so a check written as one passes
+    found = [f"{path.name}:{node.lineno}"
+             for path in sorted((ROOT / "src" / "gcat").glob("*.py"))
+             for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+             if isinstance(node, ast.Assert)]
+    assert found == []
