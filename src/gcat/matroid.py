@@ -2,28 +2,26 @@
 
 Subsets of the ground set are plain Python ints used as bitmasks.  A matroid
 is its rank function on bitmasks.  A presentation supplies one: union-find
-for a graph, min(|X|, r) for a uniform matroid, copoint containment for a
-paving matroid, the min-formula for cyclic flats, and, for a matroid given
-by its bases, the largest intersection with a basis.  A derived matroid
-(minor, dual, truncation, extension, relaxation, sum, product) ranks through
-a transform of its parents' rank, so it keeps them alive; only a minor of a
-graph is built afresh, as a graph.  Closure comes from the presentation
-where one supplies it: graph, uniform, paving, Dowling and cyclic-flat
-matroids, and a minor of any of these, which closes through its parent's
-presentation.  Every other matroid closes a set by one rank call per element
-outside it.  No closure is stored.  The covers of a flat, from which the
-flats and the flag walk are built, cost one closure each, except where the
-presentation lists them: a graph reads every cover of a flat off one
-union-find of its components, so its walk closes only the bottom flat.
-`catenary` walks the flats below the coloops in place, with no minor built.
-A paving presentation of rank r >= 2 (uniform, paving, Dowling) knows how
-many copoints it has of each size, which fixes its catenary data (the census
-theorem), so `catenary` walks no flats for it; no derived matroid carries
-that census.  Each presentation but a basis family is a matroid by
-construction, so only `from_bases` checks basis exchange, on every family.
-The bases are built only when read (equality, the top-symbol check).
-Everything here is desk-scale and exact; these matroids double as
-ground-truth oracles for the invariant-level machinery.
+for a graph; for uniform, paving, Dowling and cyclic-flat matroids, one list
+of (F, k) pairs ranked by the min-formula r(X) = min k + |X - F|
+(`_listed`); and, for a matroid given by its bases, the largest intersection
+with a basis.  Graphs and lists also close a set from the presentation, and
+a graph's minor is a graph, a list's minor a list.  Any other derived
+matroid (minor, dual, truncation, extension, relaxation, sum, product) ranks
+through a transform of its parents' rank, so it keeps them alive, and closes
+a set by one rank call per element outside it.  No closure is stored.  The
+covers of a flat, from which the flats and the flag walk are built, cost one
+closure each, except where the presentation lists them: a graph reads every
+cover of a flat off one union-find of its components, so its walk closes
+only the bottom flat.  `catenary` walks the flats below the coloops in
+place, with no minor built.  A paving presentation of rank r >= 2 (uniform,
+paving, Dowling) knows how many copoints it has of each size, which fixes
+its catenary data (the census theorem), so `catenary` walks no flats for it;
+no derived matroid carries that census.  Each presentation but a basis
+family is a matroid by construction, so only `from_bases` checks basis
+exchange, on every family.  The bases are built only when read.  Everything
+here is desk-scale and exact; these matroids double as ground-truth oracles
+for the invariant-level machinery.
 """
 
 from __future__ import annotations
@@ -71,9 +69,8 @@ class Matroid:
     `copoint_sizes`, when given, maps each copoint size of a paving matroid
     of rank >= 2 to the number of copoints of that size.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
-    of rank r.  A derived matroid ranks through its parent's `rank`, so it
-    keeps its parent (and the parent's caches) alive.  Instances are
-    immutable; every operation returns a new matroid.
+    of rank r.  Instances are immutable; every operation returns a new
+    matroid.
     """
 
     __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
@@ -255,11 +252,7 @@ class Matroid:
         The order relation is bitmask containment; join is cl(X | Y) and meet
         is the union of the circuits inside X & Y.
         """
-        out = []
-        for f, k in self.flats():
-            if self.is_cyclic(f):
-                out.append((f, k))
-        return out
+        return [(f, k) for f, k in self.flats() if self.is_cyclic(f)]
 
     def is_paving(self) -> bool:
         return all(c.bit_count() >= self.r for c in self.circuits())
@@ -269,21 +262,16 @@ class Matroid:
     def minor(self, contract: int = 0, delete: int = 0) -> "Matroid":
         """The minor M / contract \\ delete, relabeled onto {0, ..., m-1}.
 
-        Remaining elements keep their relative order; a set of them ranks
-        as r(X | contract) - r(contract) once mapped back.  When M closes
-        from its presentation, so does the minor: cl(X) is
-        cl_M(X | contract) less contract and delete, mapped back.  A
-        presentation that builds its own minors (`minor_of`) does so: a
-        graph's minor is the graph with each contracted edge's ends merged
-        and the deleted edges gone, which ranks, closes and lists its
-        covers as any graph does.
+        Remaining elements keep their relative order.  Through `minor_of`, a
+        graph's minor is a graph and a list's minor a list (`_listed`).  Any
+        other minor ranks a set as r(X | contract) - r(contract) once mapped
+        back, and closes by the rank loop.
         """
         if contract & delete:
             raise ValueError("contract and delete sets overlap")
         if self._minor_of is not None:
             return self._minor_of(contract, delete)
-        remain = self.full & ~(contract | delete)
-        keep = [1 << e for e in elements_of(remain)]
+        keep = [1 << e for e in elements_of(self.full & ~(contract | delete))]
         rank, rc = self.rank, self.rank(contract)
 
         def lift(x):
@@ -294,22 +282,7 @@ class Matroid:
                 y |= keep[low.bit_length() - 1]
             return y
 
-        closure_of = None
-        if self._closure_of is not None:
-            parent_closure = self._closure_of
-            index = {bit: 1 << i for i, bit in enumerate(keep)}
-
-            def closure_of(x):
-                y = parent_closure(lift(x)) & remain
-                out = 0
-                while y:
-                    low = y & -y
-                    y ^= low
-                    out |= index[low]
-                return out
-
-        return Matroid(len(keep), lambda x: rank(lift(x)) - rc,
-                       closure_of=closure_of)
+        return Matroid(len(keep), lambda x: rank(lift(x)) - rc)
 
     def restrict(self, x: int) -> "Matroid":
         return self.minor(delete=self.full & ~x)
@@ -402,15 +375,57 @@ class Matroid:
 
 # -- presentations ---------------------------------------------------------
 
+def _listed(n: int, pairs, census=None) -> Matroid:
+    """The matroid of a list of (F, k) pairs: r(X) is the least k + |X - F|,
+    which each caller says is a matroid rank function.
+
+    An element e outside X keeps that least value exactly when some F
+    attaining it holds e, so cl(X) is X and every such F, in one pass.  As
+    r(X | C) - r(C) is the least (k + |C - F| - r(C)) + |X - F|, the minor
+    M / C \\ D lists each F - C - D, relabeled, at k + |C - F| - r(C), a set
+    listed twice at its least rank.  As r(X) <= |X|, the empty set at rank 0
+    stands for every set whose rank is not below its size.
+    """
+    full = (1 << n) - 1
+    listed = [(full & ~f, k, f) for f, k in pairs]
+
+    def scan(x):
+        # a list with an F at rank 0 ranks every set at most n
+        least, closed = n + 1, x
+        for out, k, f in listed:
+            score = k + (x & out).bit_count()
+            if score < least:
+                least, closed = score, x | f
+            elif score == least:
+                closed |= f
+        return least, closed
+
+    def minor_of(contract, delete):
+        keep = enumerate(elements_of(full & ~(contract | delete)))
+        bits = [(1 << e, 1 << i) for i, e in keep]
+        lifted = {}
+        for out, k, f in listed:
+            g = 0
+            for old, new in bits:
+                if f & old:
+                    g |= new
+            k += (contract & out).bit_count()
+            if lifted.get(g, k) >= k:
+                lifted[g] = k
+        rc = min(lifted.values())
+        return _listed(len(bits), [(0, 0)] + [
+            (g, k - rc) for g, k in lifted.items() if k - rc < g.bit_count()])
+
+    return Matroid(n, lambda x: scan(x)[0], closure_of=lambda x: scan(x)[1],
+                   minor_of=minor_of, copoint_sizes=census)
+
+
 def uniform(r: int, n: int) -> Matroid:
-    """U(r, n): r(X) = min(|X|, r), a matroid by definition."""
+    """U(r, n), the list {0: 0, E: r}: r(X) = min(|X|, r), a matroid."""
     if not 0 <= r <= n:
         raise PresentationError(f"U({r},{n}) is not a matroid")
-    full = (1 << n) - 1
     census = {r - 1: math.comb(n, r - 1)} if r > 1 else None
-    return Matroid(n, lambda x: min(x.bit_count(), r),
-                   closure_of=lambda x: x if x.bit_count() < r else full,
-                   copoint_sizes=census)
+    return _listed(n, [(0, 0), ((1 << n) - 1, r)], census)
 
 
 def from_graph(edges) -> Matroid:
@@ -508,8 +523,7 @@ def from_paving_copoints(n: int, r: int, copoints) -> Matroid:
     (r-1)-subset lies in exactly one copoint, listed or implicit, so the
     copoints meet the hyperplane axioms and form a matroid.  A set of at
     least r elements has rank r-1 when it lies inside a listed copoint and
-    r otherwise.  So a set of at least r-1 elements closes to the listed
-    copoint holding it, if any; else to itself at r-1 elements, else to E.
+    r otherwise, as the list {0: 0, each listed copoint: r-1, E: r} ranks it.
     """
     if r < 1 or r > n:
         raise PresentationError(f"paving rank {r} out of range for n={n}")
@@ -528,27 +542,12 @@ def from_paving_copoints(n: int, r: int, copoints) -> Matroid:
                 f"two listed copoints share r-1 = {r - 1} or more elements: "
                 f"{elements_of(c1)} and {elements_of(c2)}")
 
-    def rank_of(x):
-        size = x.bit_count()
-        if size < r:
-            return size
-        return r - 1 if any(x & ~c == 0 for c in masks) else r
-
-    def closure_of(x):
-        size = x.bit_count()
-        if size < r - 1:
-            return x
-        for c in masks:
-            if x & ~c == 0:
-                return c
-        return x if size == r - 1 else full
-
     # the (r-1)-subsets inside no listed copoint are the implicit copoints
     census = Counter(c.bit_count() for c in masks)
     census[r - 1] += math.comb(n, r - 1) - sum(
         math.comb(size, r - 1) * f for size, f in census.items())
-    return Matroid(n, rank_of, closure_of=closure_of,
-                   copoint_sizes=census if r > 1 else None)
+    return _listed(n, [(0, 0), *((c, r - 1) for c in masks), (full, r)],
+                   census if r > 1 else None)
 
 
 def from_cyclic_flats(n: int, flats) -> Matroid:
@@ -564,9 +563,7 @@ def from_cyclic_flats(n: int, flats) -> Matroid:
     and r(Y), then r(X) + r(Y) = k_F + k_G + |X - F| + |Y - G|, which is at
     least r(F|G) + r(F&G) + |(X|Y) - (F|G)| + |(X&Y) - (F&G)| by the pair
     check and by counting each element, and so at least r(X|Y) + r(X&Y)
-    by the unit rise and monotonicity.  An element e outside X leaves that
-    minimum unchanged exactly when some F attaining it holds e, so cl(X) is
-    X together with every such F.
+    by the unit rise and monotonicity.
     """
     pairs = []
     full = (1 << n) - 1
@@ -577,18 +574,9 @@ def from_cyclic_flats(n: int, flats) -> Matroid:
         pairs.append((m, int(k)))
     if not pairs:
         raise PresentationError("at least one cyclic flat (the loop set) is required")
-
-    def rank_of(x):
-        return min(k + (x & ~f).bit_count() for f, k in pairs)
-
-    def closure_of(x):
-        scores = [k + (x & ~f).bit_count() for f, k in pairs]
-        low = min(scores)
-        for (f, _), score in zip(pairs, scores):
-            if score == low:
-                x |= f
-        return x
-
+    m = _listed(n, pairs)
+    # not `m.rank`, which holds r(0) = 0 before any call
+    rank_of = m._rank_of
     if rank_of(0) != 0:
         raise PresentationError("no listed cyclic flat has rank 0 (the loop set)")
     for f, k in pairs:
@@ -600,7 +588,7 @@ def from_cyclic_flats(n: int, flats) -> Matroid:
             raise PresentationError(
                 f"ranks of {elements_of(f1)} and {elements_of(f2)} "
                 "are not submodular")
-    return Matroid(n, rank_of, closure_of=closure_of)
+    return m
 
 
 def _check_group_table(table) -> list[list[int]]:
@@ -677,19 +665,26 @@ def _indices(value) -> list[int]:
 
 def _elements(value) -> list[int]:
     """A file's element set: an index list with no repeat, which a builder
-    would merge.  A graph edge may repeat its vertex (a loop)."""
+    would merge."""
     if len(set(_indices(value))) != len(value):
         raise PresentationError(f"{value!r} repeats an element")
     return value
 
 
+def _edge(value) -> list[int]:
+    """A file's graph edge: two vertex indices, the same one for a loop."""
+    if len(_indices(value)) != 2:
+        raise PresentationError(f"graph edge {value!r} is not a pair of vertices")
+    return value
+
+
 # presentation kind -> (needs ground_set_size, builder(record, n)); every
-# vertex and group-element list in a file is read by `_indices`, and every
-# element set by `_elements`
+# graph edge in a file is read by `_edge`, every group-table row by
+# `_indices`, and every element set by `_elements`
 _PRESENTATIONS = {
     "bases": (True, lambda p, n: from_bases(n, map(_elements, p["bases"]))),
     "uniform": (True, lambda p, n: uniform(json_int(p["rank"]), n)),
-    "graph": (False, lambda p, n: from_graph(map(_indices, p["edges"]))),
+    "graph": (False, lambda p, n: from_graph(map(_edge, p["edges"]))),
     "paving_copoints": (True, lambda p, n: from_paving_copoints(
         n, json_int(p["rank"]), map(_elements, p["copoints"]))),
     "cyclic_flats": (True, lambda p, n: from_cyclic_flats(n, [

@@ -222,8 +222,12 @@ def copoint_deck(m: Matroid) -> Deck:
 
 def size_grouped_copoint_deck(m: Matroid) -> Deck:
     """The copoint deck with same-size entries summed (the h-sums form)."""
+    return _size_grouped(copoint_deck(m))
+
+
+def _size_grouped(deck: Deck) -> Deck:
     by_size: dict[tuple[int, int], dict[str, int]] = {}
-    for g, mult in copoint_deck(m).entries:
+    for g, mult in deck.entries:
         acc = by_size.setdefault((g.n, g.r), {})
         for key, c in g.coeffs.items():
             acc[key] = acc.get(key, 0) + mult * c

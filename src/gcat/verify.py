@@ -21,10 +21,10 @@ from .ginvariant import (DEFAULT_ORACLE_LIMIT, GInvariant, basis_count,
                          g_from_catenary, g_invariant, invariant_copies,
                          tutte_brute_force, tutte_from_g)
 from .matroid import Matroid, elements_of
-from .reconstruction import (circuit_deck, circuit_deck_reconstruct,
-                             copoint_deck, rank_deck,
+from .reconstruction import (_size_grouped, circuit_deck,
+                             circuit_deck_reconstruct, copoint_deck, rank_deck,
                              reconstruct_from_copoint_deck, recover_n,
-                             size_grouped_copoint_deck, slice_assemble)
+                             slice_assemble)
 
 
 def _exhaustive_flat_census(m: Matroid):
@@ -135,8 +135,7 @@ def run_verify(m: Matroid, deep: bool = False):
             deck = copoint_deck(m)
             _require(recover_n(deck) == m.n)
             _require(reconstruct_from_copoint_deck(deck) == g)
-            _require(reconstruct_from_copoint_deck(
-                size_grouped_copoint_deck(m)) == g)
+            _require(reconstruct_from_copoint_deck(_size_grouped(deck)) == g)
 
     if m.n - m.r >= 2:
         @check("circuit-deck-roundtrip")

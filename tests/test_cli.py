@@ -7,7 +7,8 @@ import sys
 
 import pytest
 
-from gcat import from_graph, g_invariant, ginvariant, uniform
+from gcat import (from_graph, g_invariant, ginvariant, reconstruction, uniform,
+                  verify)
 from gcat.cli import main
 from gcat.reconstruction import Deck, copoint_deck, rank_deck
 from gcat.serialization import (canonical_dumps, deck_to_json,
@@ -349,6 +350,20 @@ class TestVerify:
             assert code == 0, (name, out)
             assert json.loads(out)["passed"] is True
 
+    def test_copoint_deck_is_built_once(self, monkeypatch):
+        # the h-sums round trip groups the deck the check already built
+        built = []
+
+        def counted(m):
+            built.append(m)
+            return copoint_deck(m)
+
+        monkeypatch.setattr(verify, "copoint_deck", counted)
+        monkeypatch.setattr(reconstruction, "copoint_deck", counted)
+        passed, checks = run_verify(from_graph(K4_EDGES))
+        assert passed and "copoint-deck-roundtrip" in {c["name"] for c in checks}
+        assert len(built) == 1
+
     def test_no_brute_force_above_the_oracle_cap(self):
         assert ginvariant.DEFAULT_ORACLE_LIMIT < 10
         passed, checks = run_verify(uniform(2, 10))
@@ -444,6 +459,17 @@ class TestErrors:
         out = capsys.readouterr()
         assert out.out == "" and out.err.startswith("error:")
         assert "repeats an element" in out.err
+
+    # an edge that is no pair exited 1 with Python's unpacking message
+    @pytest.mark.parametrize("edge", [[0, 1, 2], [0], []])
+    def test_graph_edge_that_is_no_pair_exits_1(self, capsys, tmp_path, edge):
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"presentation": {
+            "kind": "graph", "edges": [[0, 1], edge]}}))
+        assert main(["catenary", str(bad)]) == 1
+        out = capsys.readouterr()
+        assert out.out == ""
+        assert out.err == f"error: graph edge {edge} is not a pair of vertices\n"
 
     def test_presentation_fields_of_the_wrong_type(self, capsys, tmp_path):
         docs = [

@@ -395,6 +395,18 @@ def _cyclic_flat_lists(draw):
         return None
 
 
+@st.composite
+def _minors(draw, max_n, kinds=presentations):
+    """A minor of a drawn presentation, or a minor of one of its minors."""
+    m = draw(kinds(max_n))
+    for _ in range(draw(st.integers(1, 2))):
+        roles = draw(st.lists(st.sampled_from("kcd"),
+                              min_size=m.n, max_size=m.n))
+        m = m.minor(mask_of(e for e, t in enumerate(roles) if t == "c"),
+                    mask_of(e for e, t in enumerate(roles) if t == "d"))
+    return m
+
+
 class TestRankOracle:
     """The presentation's rank function against the scan of its bases."""
 
@@ -420,22 +432,17 @@ class TestRankOracle:
         if m is not None:
             self._check(m)
 
+    @settings(max_examples=60, deadline=None)
+    @given(_minors(10))
+    def test_minors(self, m):
+        self._check(m)
+
 
 def _rank_closure(m, x):
     """Closure by definition: x and every element that keeps its rank."""
     rx = m.rank(x)
     return x | mask_of(e for e in elements_of(m.full & ~x)
                        if m.rank(x | 1 << e) == rx)
-
-
-@st.composite
-def _minors(draw, max_n, kinds=presentations):
-    m = draw(kinds(max_n))
-    if draw(st.booleans()):
-        m.flats()  # the minor then reads closures the parent holds
-    roles = draw(st.lists(st.sampled_from("kcd"), min_size=m.n, max_size=m.n))
-    return m.minor(mask_of(e for e, t in enumerate(roles) if t == "c"),
-                   mask_of(e for e, t in enumerate(roles) if t == "d"))
 
 
 class TestClosureOracle:
@@ -462,6 +469,28 @@ class TestClosureOracle:
     def test_accepted_cyclic_flat_lists(self, m):
         if m is not None:
             self._check(m)
+
+
+class TestMinorsInKind:
+    """A presentation that closes a set itself (a graph or a list) builds
+    its minors in its own kind, so they do too; the minor of a rank
+    transform, such as a dual, does neither."""
+
+    @staticmethod
+    def _check(m):
+        assert m._closure_of is not None and m._minor_of is not None
+        minor = m.dual().minor()
+        assert minor._closure_of is None and minor._minor_of is None
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(10))
+    def test_presentations(self, m):
+        self._check(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_minors(10))
+    def test_minors(self, m):
+        self._check(m)
 
 
 class TestCoversOracle:
@@ -653,7 +682,7 @@ class TestRankTransforms:
                 self._agrees(m.relax(x), bases | {x})
 
     @settings(max_examples=60, deadline=None)
-    @given(presentations(8), st.data())
+    @given(st.one_of(presentations(8), _minors(8)), st.data())
     def test_minor(self, m, data):
         roles = data.draw(st.lists(st.sampled_from("kcd"),
                                    min_size=m.n, max_size=m.n))

@@ -1,6 +1,6 @@
 """The demos run clean, the benchmark's tracer finds every layer, the
-README documents every CLI command, the invariant layer imports no
-matroid, and no gcat module holds an assert statement."""
+README documents every CLI command and presentation kind, the invariant
+layer imports no matroid, and no gcat module holds an assert statement."""
 
 import argparse
 import ast
@@ -16,6 +16,7 @@ from pathlib import Path
 import pytest
 
 import gcat
+from gcat import matroid
 from gcat.cli import _build_parser
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -55,6 +56,12 @@ def test_readme_lists_every_cli_command():
     sub, = (action for action in _build_parser()._actions
             if isinstance(action, argparse._SubParsersAction))
     assert documented == set(sub.choices)
+
+
+def test_readme_lists_every_presentation_kind():
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    sentence = readme.split("with `kind` one of ", 1)[1].split("(see", 1)[0]
+    assert set(re.findall(r"`(\w+)`", sentence)) == set(matroid._PRESENTATIONS)
 
 
 def _imported_modules(path):
