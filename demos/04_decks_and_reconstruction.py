@@ -2,8 +2,9 @@
 """Rebuild an invariant from unlabeled decks of minors.
 
 The deck of copoint restrictions determines the whole invariant, including
-the ground-set size, which falls out of an exact rational equation that is
-strictly decreasing in n.
+the ground-set size, which falls out of an exact integer equation: the
+orderings the deck accounts for at size n, against n!, a ratio strictly
+decreasing in n.
 """
 
 from gcat import (circuit_deck, circuit_deck_reconstruct, copoint_deck,

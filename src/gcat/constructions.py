@@ -11,9 +11,9 @@ from __future__ import annotations
 
 import math
 
-from .errors import ExactnessError
+from .errors import ExactnessError, held
 from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum,
-                         catenary_from_g, g_from_catenary, held)
+                         catenary_from_g, g_from_catenary)
 
 
 def _accumulate(pairs) -> dict:

@@ -1,4 +1,5 @@
-"""Exception types shared across the package, and the JSON integer reader."""
+"""Exception types shared across the package, the JSON integer reader, and
+`held`, the one memo map of matroids and invariants."""
 
 
 class PresentationError(ValueError):
@@ -24,3 +25,14 @@ def json_int(value) -> int:
             and value.removeprefix("-").isdigit()):
         return int(value)
     raise PresentationError(f"{value!r} is not an integer")
+
+
+def held(value, key, compute, *args):
+    """compute(value, *args), run on the first call for `key` and held in
+    value's memo map as long as value lives.  The module that computes an
+    entry owns its key."""
+    memo = value._held
+    out = memo.get(key)
+    if out is None:
+        out = memo[key] = compute(value, *args)
+    return out

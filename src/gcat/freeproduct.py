@@ -94,23 +94,25 @@ def detect_free_product(g: GInvariant) -> FactorizationReport:
     return FactorizationReport(bool(factors), tuple(factors))
 
 
+def _pinchpoint_flats(m: Matroid) -> list[int]:
+    """The interior cyclic flats of m comparable with every cyclic flat.
+
+    `cyclic_flats` lists them by rank, so the bottom comes first and the
+    top last."""
+    masks = [f for f, _ in m.cyclic_flats()]
+    return [x for x in masks[1:-1]
+            if all(f & ~x == 0 or x & ~f == 0 for f in masks)]
+
+
 def factor_at_pinchpoint(m: Matroid, x: int) -> tuple[Matroid, Matroid]:
     """Split an explicit matroid at a pinchpoint of its cyclic-flat lattice.
 
     Returns (M|X, M/X) and checks that their free product reproduces M's
     basis collection under the natural relabeling.
     """
-    zf = m.cyclic_flats()
-    masks = [f for f, _ in zf]
-    if x not in masks:
-        raise ValueError("target set is not a cyclic flat")
-    bottom = min(masks, key=lambda f: f.bit_count())
-    top = max(masks, key=lambda f: f.bit_count())
-    if x in (bottom, top):
-        raise ValueError("pinchpoints are interior to the cyclic-flat lattice")
-    for f in masks:
-        if not (f & ~x == 0 or x & ~f == 0):
-            raise ValueError("target cyclic flat is not a pinchpoint")
+    if x not in _pinchpoint_flats(m):
+        raise ValueError(
+            "target set is not a pinchpoint of the cyclic-flat lattice")
     rest = m.restrict(x)
     contr = m.contract(x)
     # reproduce M: product elements are sorted(X) then sorted(E - X)

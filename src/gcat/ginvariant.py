@@ -24,11 +24,10 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, field
-from fractions import Fraction
 from functools import lru_cache
 from typing import Mapping
 
-from .errors import ExactnessError
+from .errors import ExactnessError, held
 from .matroid import Matroid, _basis_scan, elements_of
 
 DEFAULT_ORACLE_LIMIT = 9  # largest n the brute-force oracles take
@@ -219,17 +218,6 @@ class TuttePolynomial:
         return f"TuttePolynomial({body or 0})"
 
 
-def held(value, key, compute, *args):
-    """compute(value, *args), run on the first call for `key` and held in
-    value's memo map as long as value lives.  The module that computes an
-    entry owns its key."""
-    memo = value._held
-    out = memo.get(key)
-    if out is None:
-        out = memo[key] = compute(value, *args)
-    return out
-
-
 # -- gamma basis --------------------------------------------------------------
 
 @lru_cache(maxsize=None)
@@ -294,49 +282,46 @@ def gamma_one(a: tuple) -> int:
 
 def catenary(m: Matroid) -> CatenaryData:
     """Flag counts by composition: the copoint census of a paving
-    presentation, else the flag walk below the coloops.
+    presentation, else the flag walk of the matroid less its coloops.
 
     A paving matroid of rank >= 2 has its catenary data fixed by its count
     of copoints of each size (`paving_catenary`), so a presentation holding
     that census walks nothing.  A matroid with k coloops is its deletion of
-    them plus U(k,k), with the one key (0, 1, ..., 1) of k! flags, and the
-    flats of that deletion are the flats of m inside E - coloops.  So
-    `_flag_walk` walks that interval of m itself, and the coloops are
-    shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
-    copies of the interval that they would multiply it into.
+    them plus U(k,k), the design with flat sizes 0, 1, ..., k, so
+    `_flag_walk` walks that deletion, a graph or a list when m is one, and
+    the coloops are shuffled back in by `cat_direct_sum`; the walk never
+    sees the 2^k copies of the deletion's flats that they would multiply
+    it into.  A matroid of coloops alone is U(n,n), and no minor is built.
     """
     if m.copoint_sizes is not None:
         return paving_catenary(m.n, m.r, m.copoint_sizes)
     coloops = m.coloops()
     if not coloops:
         return _flag_walk(m)
-    k = coloops.bit_count()
-    free = CatenaryData(k, k, {(0,) + (1,) * k: math.factorial(k)})
-    return cat_direct_sum(_flag_walk(m, m.full & ~coloops), free)
+    free = pmd_catenary(range(coloops.bit_count() + 1))
+    if coloops == m.full:
+        return free
+    return cat_direct_sum(_flag_walk(m.delete(coloops)), free)
 
 
-def _flag_walk(m: Matroid, top: int | None = None) -> CatenaryData:
-    """Flag counts by composition of the flats of m inside the flat `top`
-    (E by default), by a walk up from the bottom flat rank by rank.
+def _flag_walk(m: Matroid) -> CatenaryData:
+    """Flag counts by composition of the flats of m, by a walk up from the
+    bottom flat rank by rank.
 
-    A composition is its set of partial sums s_0 < s_1 < ... < s_r = |top|,
-    so a chain from the bottom flat up to a flat is keyed by the bitmask of
+    A composition is its set of partial sums s_0 < s_1 < ... < s_r = n, so
+    a chain from the bottom flat up to a flat is keyed by the bitmask of
     its flat sizes, and a cover C extends the key by 1 << |C|.  Each
     rank-k flat carries a dict from keys to chain counts; the covers of
-    the rank-k flats inside top, from `Matroid.covers`, extend them to
-    rank k+1.  Only two ranks of dicts are held at a time, and the top
-    flat's keys are decoded into compositions once, at the end.
+    the rank-k flats, from `Matroid.covers`, extend them to rank k+1.
+    Only two ranks of dicts are held at a time, and the keys of E are
+    decoded into compositions once, at the end.
     """
-    if top is None:
-        top, rank = m.full, m.r
-    else:
-        rank = m.rank(top)
     bottom = m.closure(0)
     level = {bottom: {1 << bottom.bit_count(): 1}}
-    for _ in range(rank):
+    for _ in range(m.r):
         above: dict[int, dict[int, int]] = {}
         for flat, keys in level.items():
-            for cov in m.covers(flat, top):
+            for cov in m.covers(flat):
                 bit = 1 << cov.bit_count()
                 if (acc := above.get(cov)) is None:
                     above[cov] = {key | bit: cnt for key, cnt in keys.items()}
@@ -346,10 +331,10 @@ def _flag_walk(m: Matroid, top: int | None = None) -> CatenaryData:
                         acc[key] = acc.get(key, 0) + cnt
         level = above
     counts = {}
-    for key, cnt in level[top].items():
+    for key, cnt in level[m.full].items():
         s = elements_of(key)
         counts[(s[0], *(b - a for a, b in itertools.pairwise(s)))] = cnt
-    return CatenaryData(top.bit_count(), rank, counts)
+    return CatenaryData(m.n, m.r, counts)
 
 
 def _interleavings(a: tuple, b: tuple) -> dict[tuple, int]:
@@ -622,8 +607,9 @@ def tutte_from_g(g: GInvariant) -> TuttePolynomial:
     out = {}
     for key, val in terms.items():
         if val % nf:
+            d = math.gcd(val, nf)
             raise ExactnessError(f"Tutte coefficient at {key} is "
-                                 f"{Fraction(val, nf)}: not an integer")
+                                 f"{val // d}/{nf // d}: not an integer")
         out[key] = val // nf
     return TuttePolynomial(out)
 
@@ -647,17 +633,16 @@ def pmd_catenary(alphas) -> CatenaryData:
     is the product over i of (alpha_r - alpha_i) / (alpha_{i+1} - alpha_i).
     """
     alphas = [int(a) for a in alphas]
-    if alphas[0] < 0 or any(x >= y for x, y in zip(alphas, alphas[1:])):
+    steps = [b - a for a, b in itertools.pairwise(alphas)]
+    if min(alphas, default=-1) < 0 or min(steps, default=1) < 1:
         raise ValueError(f"flat sizes must strictly increase: {alphas}")
-    r = len(alphas) - 1
-    n = alphas[-1]
-    count = Fraction(1)
-    for i in range(r):
-        count *= Fraction(alphas[r] - alphas[i], alphas[i + 1] - alphas[i])
-    if count.denominator != 1:
-        raise ExactnessError(f"design parameters give flag count {count}")
-    comp = (alphas[0],) + tuple(alphas[i + 1] - alphas[i] for i in range(r))
-    return CatenaryData(n, r, {comp: int(count)})
+    num = math.prod(alphas[-1] - a for a in alphas[:-1])
+    den = math.prod(steps)
+    if num % den:
+        d = math.gcd(num, den)
+        raise ExactnessError(
+            f"design parameters give flag count {num // d}/{den // d}")
+    return CatenaryData(alphas[-1], len(steps), {(alphas[0], *steps): num // den})
 
 
 def paving_catenary(n: int, r: int, copoint_counts: Mapping[int, int]) -> CatenaryData:

@@ -13,15 +13,16 @@ a set by one rank call per element outside it.  No closure is stored.  The
 covers of a flat, from which the flats and the flag walk are built, cost one
 closure each, except where the presentation lists them: a graph reads every
 cover of a flat off one union-find of its components, so its walk closes
-only the bottom flat.  `catenary` walks the flats below the coloops in
-place, with no minor built.  A paving presentation of rank r >= 2 (uniform,
-paving, Dowling) knows how many copoints it has of each size, which fixes
-its catenary data (the census theorem), so `catenary` walks no flats for it;
-no derived matroid carries that census.  Each presentation but a basis
-family is a matroid by construction, so only `from_bases` checks basis
-exchange, on every family.  The bases are built only when read.  Everything
-here is desk-scale and exact; these matroids double as ground-truth oracles
-for the invariant-level machinery.
+only the bottom flat.  `catenary` walks the deletion of the coloops, which
+a graph or a list builds as its own kind.  A paving presentation of rank
+r >= 2 (uniform, paving, Dowling) knows how many copoints it has of each
+size, which fixes its catenary data (the census theorem), so `catenary`
+walks no flats for it; no derived matroid carries that census.  Each
+presentation but a basis family is a matroid by construction, so only
+`from_bases` checks basis exchange, on every family.  The bases, flats and
+circuits are built only when read, and held in one memo map (`held`).
+Everything here is desk-scale and exact; these matroids double as
+ground-truth oracles for the invariant-level machinery.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ import itertools
 import math
 from collections import Counter
 
-from .errors import PresentationError, json_int
+from .errors import PresentationError, held, json_int
 
 
 def mask_of(elements) -> int:
@@ -69,13 +70,13 @@ class Matroid:
     `copoint_sizes`, when given, maps each copoint size of a paving matroid
     of rank >= 2 to the number of copoints of that size.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
-    of rank r.  Instances are immutable; every operation returns a new
-    matroid.
+    of rank r, and held, as are the flats and the circuits, in `_held`, the
+    memo map of `held`; ranks have their own cache.  Instances are
+    immutable; every operation returns a new matroid.
     """
 
-    __slots__ = ("n", "r", "full", "_bases", "_rank_of", "_closure_of",
-                 "_covers_of", "_minor_of", "copoint_sizes", "_rank_cache",
-                 "_flats_by_rank", "_circuits")
+    __slots__ = ("n", "r", "full", "_rank_of", "_closure_of", "_covers_of",
+                 "_minor_of", "copoint_sizes", "_rank_cache", "_held")
 
     def __init__(self, n: int, rank_of, *, closure_of=None, covers_of=None,
                  minor_of=None, copoint_sizes=None):
@@ -87,19 +88,14 @@ class Matroid:
         self._minor_of = minor_of
         self.copoint_sizes = copoint_sizes
         self.r = rank_of(self.full)
-        self._bases = None
         self._rank_cache = {0: 0}
-        self._flats_by_rank = None
-        self._circuits = None
+        self._held = {}
 
     @property
     def bases(self) -> frozenset[int]:
-        if self._bases is None:
-            rank_of, r = self._rank_of, self.r
-            self._bases = frozenset(
-                b for b in map(mask_of, itertools.combinations(range(self.n), r))
-                if rank_of(b) == r)
-        return self._bases
+        return held(self, "bases", lambda m: frozenset(
+            b for b in map(mask_of, itertools.combinations(range(m.n), m.r))
+            if m._rank_of(b) == m.r))
 
     def _check_exchange(self):
         """For all bases b1, b2 and x in b1 - b2, some y in b2 - b1 has
@@ -173,15 +169,14 @@ class Matroid:
 
     # -- flats -----------------------------------------------------------
 
-    def covers(self, flat: int, top: int | None = None) -> set[int]:
-        """The flats covering `flat` inside the flat `top` (E by default):
-        cl(flat + e) for each e in top outside `flat`.
+    def covers(self, flat: int) -> set[int]:
+        """The flats covering `flat`: cl(flat + e) for each e outside it.
 
         A presentation that lists covers (`covers_of`) gives them at once.
         Otherwise they partition the elements outside `flat`, so an element
         already inside a cover found here needs no closure of its own.
         """
-        rest = (self.full if top is None else top) & ~flat
+        rest = self.full & ~flat
         if self._covers_of is not None:
             return self._covers_of(flat, rest)
         found = set()
@@ -196,13 +191,14 @@ class Matroid:
         """All rank-k flats, each once.  k = r-1 yields the copoints."""
         if not 0 <= k <= self.r:
             raise ValueError(f"flat rank {k} out of range 0..{self.r}")
-        if self._flats_by_rank is None:
-            levels = [[self.closure(0)]]
-            for _ in range(self.r):
-                levels.append(sorted(set().union(
-                    *(self.covers(f) for f in levels[-1]))))
-            self._flats_by_rank = levels
-        return list(self._flats_by_rank[k])
+        return list(held(self, "flats", Matroid._flat_levels)[k])
+
+    def _flat_levels(self) -> list[list[int]]:
+        levels = [[self.closure(0)]]
+        for _ in range(self.r):
+            levels.append(sorted(set().union(
+                *(self.covers(f) for f in levels[-1]))))
+        return levels
 
     def flats(self) -> list[tuple[int, int]]:
         """All flats as (mask, rank) pairs, by increasing rank."""
@@ -217,15 +213,10 @@ class Matroid:
 
     def circuits(self) -> list[int]:
         """Minimal dependent sets (size at most r+1)."""
-        if self._circuits is None:
-            found = []
-            for k in range(1, self.r + 2):
-                for combo in itertools.combinations(range(self.n), k):
-                    c = mask_of(combo)
-                    if self.is_circuit(c):
-                        found.append(c)
-            self._circuits = found
-        return list(self._circuits)
+        return list(held(self, "circuits", lambda m: [
+            c for k in range(1, m.r + 2)
+            for c in map(mask_of, itertools.combinations(range(m.n), k))
+            if m.is_circuit(c)]))
 
     def is_circuit(self, x: int) -> bool:
         """True when x is dependent and each x - e is independent."""
@@ -650,7 +641,7 @@ def from_bases(n: int, bases) -> Matroid:
     if any(b & ~((1 << n) - 1) for b in bases):
         raise PresentationError("basis uses elements outside the ground set")
     m = Matroid(n, _basis_scan(bases))
-    m._bases = bases
+    m._held["bases"] = bases
     m._check_exchange()
     return m
 

@@ -22,9 +22,9 @@ from __future__ import annotations
 import math
 
 from .constructions import g_dual
-from .errors import ExactnessError
+from .errors import ExactnessError, held
 from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
-                         g_from_catenary, gamma_one, held)
+                         g_from_catenary, gamma_one)
 
 
 def _validate_sizes(c: CatenaryData, h: int, k: int, sizes) -> tuple[int, ...]:

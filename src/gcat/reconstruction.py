@@ -6,7 +6,7 @@ contraction) pairs over the rank-k flats.  Every rebuild is one slicing sum
 nu(M) = sum over the flats X of one rank of nu(M|X) o nu(M/X), where the
 circle product o concatenates gamma-basis coordinates.  A copoint deck is
 the rank r-1 case with M/H = U(1, n - |H|), once the ground-set size n is
-recovered from the deck by exact rational search; a girth deck is the rank
+recovered from the deck by exact integer search; a girth deck is the rank
 g case with M|X = U(g, g).
 """
 
@@ -16,13 +16,12 @@ import math
 from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .constructions import g_dual
 from .errors import ExactnessError
 from .ginvariant import (CatenaryData, GInvariant, catenary_from_g,
                          g_from_catenary, g_invariant, gamma_one,
-                         invariant_catenary, invariant_copies)
+                         invariant_catenary, invariant_copies, pmd_catenary)
 from .matroid import Matroid
 
 
@@ -120,31 +119,28 @@ def _copoint_catenaries(deck: Deck) -> list[tuple[CatenaryData, int, int]]:
 def recover_n(deck: Deck) -> int:
     """Ground-set size from a copoint deck, by monotone exact search.
 
-    Summing, over deck entries and their flag compositions, the share of
-    the n! orderings that generate the flag extended by the copoint's
-    complement (`gamma_one`) gives a strictly decreasing function of n that
-    equals 1 exactly at the true ground-set size.  Each evaluation costs an
+    Summing, over deck entries and their flag compositions, the orderings
+    of n elements that generate the flag extended by the copoint's
+    complement (`gamma_one`) gives S(n).  S(n) / n! strictly decreases in n
+    and is 1 exactly at the true ground-set size, so the search compares
+    S(n) with n! and with n S(n-1), in integers.  Each evaluation costs an
     n!, so the search skips the n that a lower bound already puts above 1.
+    The entries hold their gamma coordinates once solved, so a rebuild
+    reads them back.
     """
-    return _recover_n(_copoint_catenaries(deck))
-
-
-def _recover_n(cats: list[tuple[CatenaryData, int, int]]) -> int:
-    """`recover_n` on the solved entries of `_copoint_catenaries`."""
+    cats = _copoint_catenaries(deck)
     entry_rank = cats[0][0].r
     if entry_rank < 1:
         raise ExactnessError(
             "rank-0 deck entries leave the ground-set size undetermined")
 
-    def value(n: int) -> Fraction:
-        return Fraction(sum(mult * cnt * gamma_one(comp + (n - c.n,))
-                            for c, mult, _ in cats
-                            for comp, cnt in c.counts.items()),
-                        math.factorial(n))
+    def orderings(n: int) -> int:
+        return sum(mult * cnt * gamma_one(comp + (n - c.n,))
+                   for c, mult, _ in cats for comp, cnt in c.counts.items())
 
     low = max(c.n for c, _, _ in cats)
     cap = sum(c.n * mult * count for c, mult, count in cats) + entry_rank + 1
-    # each a_(j+1)/(n - s_j) is at least a_(j+1)/n, so value(n) > 1 while
+    # each a_(j+1)/(n - s_j) is at least a_(j+1)/n, so S(n) > n! while
     # n^r is below the weight: the search starts at the first n past those
     weight = sum(mult * cnt * math.prod(comp[1:])
                  for c, mult, _ in cats for comp, cnt in c.counts.items())
@@ -152,13 +148,13 @@ def _recover_n(cats: list[tuple[CatenaryData, int, int]]) -> int:
     start = bisect_left(sizes, weight, key=lambda n: n ** entry_rank)
     prev = None
     for n in sizes[start:]:
-        cur = value(n)
-        if prev is not None and cur >= prev:
+        cur, nf = orderings(n), math.factorial(n)
+        if prev is not None and cur >= n * prev:
             raise ExactnessError("deck equation is not strictly decreasing in n")
         prev = cur
-        if cur == 1:
+        if cur == nf:
             return n
-        if cur < 1:
+        if cur < nf:
             break
     raise ExactnessError(
         "no ground-set size satisfies the copoint-deck equation: not a copoint deck")
@@ -173,8 +169,8 @@ def reconstruct_from_copoint_deck(deck: Deck) -> GInvariant:
     """
     if deck.role not in {"copoint", "h-sums"}:
         raise ValueError("copoint reconstruction needs a copoint or h-sums deck")
+    n = recover_n(deck)
     cats = _copoint_catenaries(deck)
-    n = _recover_n(cats)
     return _slicing_sum(
         (mult, c, CatenaryData(n - c.n, 1, {(0, n - c.n): 1}))
         for c, mult, _ in cats)
@@ -197,9 +193,9 @@ def girth_deck_reconstruct(deck: Deck, g: int, n: int) -> GInvariant:
     """Rebuild the invariant of a matroid with girth at least g+2 from the
     contractions by its rank-g flats (all of which are g-element independent
     flats, restricting to free matroids): the slicing sum at rank g with
-    every restriction U(g,g), whose one key (0, 1, ..., 1) has g! flags.
+    every restriction U(g,g), the design with flat sizes 0, 1, ..., g.
     """
-    free = CatenaryData(g, g, {(0,) + (1,) * g: math.factorial(g)})
+    free = pmd_catenary(range(g + 1))
     rebuilt = _slicing_sum((mult, free, invariant_catenary(entry))
                            for entry, mult in deck.entries)
     if rebuilt.n != n:

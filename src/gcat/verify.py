@@ -15,7 +15,7 @@ from . import constructions as cons
 from . import parameters as params
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError
-from .freeproduct import detect_free_product
+from .freeproduct import _pinchpoint_flats, detect_free_product
 from .ginvariant import (DEFAULT_ORACLE_LIMIT, GInvariant, basis_count,
                          catenary, catenary_from_g, g_brute_force,
                          g_from_catenary, g_invariant, invariant_copies,
@@ -217,11 +217,7 @@ def run_verify(m: Matroid, deep: bool = False):
 
         @check("freeproduct-detection-vs-lattice")
         def _():
-            masks = [f for f, _ in m.cyclic_flats()]
-            bottom = min(masks, key=int.bit_count)
-            top = max(masks, key=int.bit_count)
-            pins = [f for f in masks if f not in (bottom, top)
-                    and all(f & ~y == 0 or y & ~f == 0 for y in masks)]
+            pins = _pinchpoint_flats(m)
             rep = detect_free_product(g)
             _require(rep.is_proper == bool(pins))
             expect = {(g_invariant(m.restrict(f)), g_invariant(m.contract(f)))

@@ -197,6 +197,17 @@ class TestFactorAtPinchpoint:
         with pytest.raises(ValueError):
             factor_at_pinchpoint(n, mask_of([0, 1]))
 
+    def test_rejects_every_non_pinchpoint_alike(self):
+        # two parallel pairs: cyclic flats 0, {0, 1}, {2, 3} and E
+        m = uniform(1, 2).direct_sum(uniform(1, 2))
+        assert [f for f, _ in m.cyclic_flats()] == [0, 0b0011, 0b1100, 0b1111]
+        # a set that is no cyclic flat, the bottom, the top and a cyclic
+        # flat incomparable with another
+        for x in (0b0001, 0, 0b1111, 0b0011):
+            with pytest.raises(ValueError, match="^target set is not a "
+                               "pinchpoint of the cyclic-flat lattice$"):
+                factor_at_pinchpoint(m, x)
+
 
 class TestCoLoopReduction:
     def test_coloop_shift_identity(self):

@@ -222,7 +222,7 @@ class TestCatenary:
         m = from_graph(k8)
         closed = closures(m)
         assert basis_count(catenary(m)) == 8 ** 6  # Cayley
-        assert m._bases is None
+        assert "bases" not in m._held
         # the graph lists each flat's covers by one union-find: only the
         # 28 coloop tests rank, and only the bottom flat is closed
         assert len(m._rank_cache) <= 40
@@ -272,7 +272,7 @@ class TestCatenary:
         closed = closures(m)
         assert catenary(m).counts == {
             (0, 1, 1, 1, 1, 1, 35): math.factorial(40) // math.factorial(35)}
-        assert m._flats_by_rank is None
+        assert "flats" not in m._held
         assert closed == [] and m._rank_cache == {0: 0}
 
     @pytest.mark.parametrize("m", [
@@ -295,18 +295,18 @@ class TestCatenary:
         if m.n <= 9:
             assert c == catenary_from_g(g_brute_force(m))
 
-    @settings(max_examples=60, deadline=None)
-    @given(_with_coloops())
-    def test_walk_below_the_coloops_is_the_deletion(self, m):
-        coloops = m.coloops()
-        walked, covers = [], Matroid.covers
+    @settings(max_examples=40, deadline=None)
+    @given(_bridged_graphs())
+    def test_coloop_split_builds_at_most_one_minor(self, m):
+        # the deletion of the coloops is the one minor built, and none is
+        # built for a forest, all coloops
+        built, minor = [], Matroid.minor
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(Matroid, "covers", lambda self, flat, top=None: (
-                walked.append(flat) or covers(self, flat, top)))
-            c = _flag_walk(m, m.full & ~coloops)
-        # no flat above a coloop is walked
-        assert all(flat & coloops == 0 for flat in walked)
-        assert c == _flag_walk(m.delete(coloops))
+            mp.setattr(Matroid, "minor", lambda self, *args, **kwargs: (
+                built.append(minor(self, *args, **kwargs)) or built[-1]))
+            catenary(m)
+        assert len(built) == (m.coloops() != m.full)
+        assert all(d.n == m.n - m.coloops().bit_count() for d in built)
 
     @pytest.mark.parametrize("m", [
         uniform(0, 3),  # rank 0: the bottom flat is the top, key {3}
@@ -752,7 +752,8 @@ class TestClosedForms:
     def test_pmd_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
             pmd_catenary([0, 2, 1])
-        with pytest.raises(ExactnessError):
+        with pytest.raises(ExactnessError,
+                           match="^design parameters give flag count 3/2$"):
             pmd_catenary([0, 2, 3])
 
     def test_paving_examples(self):

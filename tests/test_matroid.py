@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from gcat import (PresentationError, build_matroid, catenary, dowling3,
                   elements_of, from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
-from gcat.matroid import _basis_scan
+from gcat.matroid import Matroid, _basis_scan
 from conftest import (K4_EDGES, TRIANGLE, _graphs, closures, load_data,
                       presentations, subsets)
 
@@ -237,18 +237,29 @@ class TestMinorsAndDual:
             assert m.dual().dual().bases == m.bases, name
 
     def test_coloop_walk_closes_only_the_bottom_flat(self):
-        # a 7-cycle with a 6-edge path hung off it: catenary walks the flats
-        # of m below its 6 coloops in place, with covers from the graph, so
-        # m closes only the bottom flat and ranks only the empty set, the 13
-        # coloop tests and the walk's top; no minor is built
+        # a 7-cycle with a 6-edge path hung off it: catenary deletes the 6
+        # coloops and walks the deletion, a graph that lists its covers, so
+        # it closes only its bottom flat; m closes nothing and ranks only
+        # the empty set and the 13 coloop tests
         cycle = [(i, (i + 1) % 7) for i in range(7)]
         path = [(6 + i, 7 + i) for i in range(6)]
         m = from_graph(cycle + path)
         assert m.n == 13
-        closed = closures(m)
-        catenary(m)
-        assert closed == [0]
-        assert len(m._rank_cache) <= 15
+        closed, walked, minor = closures(m), [], Matroid.minor
+
+        def traced(self, *args, **kwargs):
+            d = minor(self, *args, **kwargs)
+            walked.append((d, closures(d)))
+            return d
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Matroid, "minor", traced)
+            catenary(m)
+        assert closed == []
+        assert len(m._rank_cache) == 14
+        (d, d_closed), = walked
+        assert (d.n, d.r) == (7, 6) and d._covers_of is not None
+        assert d_closed == [0]
 
 
 class TestConstructions:
@@ -495,7 +506,7 @@ class TestMinorsInKind:
 
 class TestCoversOracle:
     """Covers listed by a graph, or by a minor of one, against one closure
-    per element outside the flat, below E and below E - coloops."""
+    per element outside the flat."""
 
     @staticmethod
     def _check(m):
@@ -504,13 +515,9 @@ class TestCoversOracle:
         flats = [f for f, _ in m.flats()]
         # listing the covers closes no set but the bottom flat
         assert closed == [0]
-        core = m.full & ~m.coloops()
         for f in flats:
             assert m.covers(f) == {m.closure(f | 1 << e)
                                    for e in elements_of(m.full & ~f)}, f
-            if f & ~core == 0:
-                assert m.covers(f, core) == {m.closure(f | 1 << e)
-                                             for e in elements_of(core & ~f)}, f
 
     @settings(max_examples=100, deadline=None)
     @given(_graphs(10))
@@ -531,7 +538,7 @@ class TestMatroidByConstruction:
     @settings(max_examples=60, deadline=None)
     @given(presentations(10))
     def test_presentations_pass_exchange(self, m):
-        assert m._bases is None
+        assert "bases" not in m._held
         m._check_exchange()
 
     @settings(max_examples=200, deadline=None)
@@ -550,7 +557,11 @@ class TestMatroidByConstruction:
     def test_catenary_builds_no_bases(self, build):
         m = build()
         catenary(m)
-        assert m._bases is None
+        assert "bases" not in m._held
+
+    def test_bases_are_built_once(self):
+        m = from_graph(K4_EDGES)
+        assert m.bases is m.bases and len(m.bases) == 16
 
     def test_no_builder_takes_validate(self):
         # from_bases checks every family; no switch turns the check off

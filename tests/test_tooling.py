@@ -85,6 +85,14 @@ def test_invariant_layer_imports_no_matroid(module):
                 if name == "gcat.matroid" or name.startswith("gcat.matroid.")}
 
 
+def test_no_fractions_in_gcat():
+    # every solve is exact integer division with a remainder check
+    imported = {name for path in (ROOT / "src" / "gcat").glob("*.py")
+                for name in _imported_modules(path)}
+    assert not {name for name in imported
+                if name == "fractions" or name.startswith("fractions.")}
+
+
 def test_no_assert_in_gcat():
     # python -O strips assert statements, so a check written as one passes
     found = [f"{path.name}:{node.lineno}"
