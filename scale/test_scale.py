@@ -4,9 +4,11 @@ Closed forms serve as the oracles: the flag total of M(K_v) is the number
 of maximal chains of the partition lattice, v!(v-1)!/2^(v-1), its basis
 count is Cayley's v^(v-2), and its G-invariant sums to n!.  Its Tutte
 polynomial counts the same trees at (1, 1), the 2^n subsets at (2, 2) and
-the v! acyclic orientations at (2, 0).  The
-configuration theorem is checked against the flag count of the matroid
-itself, free-product detection against the parts it was built from, and
+the v! acyclic orientations at (2, 0).  A connected graph with n edges on
+v vertices, each edge made a path of k edges, has k^(n-v+1) times its
+trees, and a cycle C_n has n trees and n!/2 flags.  The configuration
+theorem is checked against the flag count of the matroid itself,
+free-product detection against the parts it was built from, and
 copoint-deck reconstruction against the invariant it was taken from.
 Not part of the tier-1 suite; run as
 
@@ -15,6 +17,7 @@ Not part of the tier-1 suite; run as
 
 import itertools
 import math
+import time
 
 import pytest
 
@@ -28,6 +31,46 @@ from gcat.serialization import configuration_from_json, configuration_to_json
 
 def complete(v):
     return from_graph(list(itertools.combinations(range(v), 2)))
+
+
+def subdivided(edges, k):
+    """Each edge replaced by a path of k + 1 edges through new vertices."""
+    out, fresh = [], itertools.count(max(map(max, edges)) + 1)
+    for u, v in edges:
+        inner = [next(fresh) for _ in range(k)]
+        out += itertools.pairwise([u, *inner, v])
+    return out
+
+
+def theta(paths, length):
+    """`paths` paths of `length` edges each between vertices 0 and 1."""
+    return subdivided([(0, 1)] * paths, length - 1)
+
+
+@pytest.mark.parametrize("edges, trees, flags", [
+    # C40: U(39, 40), so 40 bases and 40!/2 flags
+    (list(itertools.pairwise([*range(40), 0])), 40, math.factorial(40) // 2),
+    # three 10-edge paths between two vertices: a spanning tree drops an
+    # edge from each of two paths, 3 * 10 * 10 ways
+    (theta(3, 10), 300, None),
+])
+def test_small_corank_graphs_are_walked_as_their_duals(edges, trees, flags):
+    t0 = time.perf_counter()
+    c = catenary(from_graph(edges))
+    assert time.perf_counter() - t0 < 0.1
+    assert basis_count(c) == trees
+    assert flags is None or c.total() == flags
+
+
+def test_k5_subdivided_twice():
+    # n = 30, r = 24: a spanning tree keeps 4 whole paths of K5's 125 trees
+    # and drops one of the 3 edges from each of the other 6 paths
+    m = from_graph(subdivided(list(itertools.combinations(range(5), 2)), 2))
+    t0 = time.perf_counter()
+    c = catenary(m)
+    assert time.perf_counter() - t0 < 10
+    assert (c.n, c.r) == (30, 24)
+    assert basis_count(c) == 125 * 3 ** 6
 
 
 def test_k9_flags_and_spanning_trees():

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from bisect import bisect_left
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .errors import ExactnessError
@@ -132,29 +133,79 @@ def _relabel(sizes, ranks, less, order) -> Configuration:
                   if i in pos and j in pos))
 
 
-def canonical_key(c: Configuration):
-    """Isomorphism-stable serialization of a configuration.
+def _refine(colors, below, above) -> list[int]:
+    """The colors split by the color multisets of each node's strict down-
+    and up-sets until no class splits, renumbered 0, 1, ... in the order of
+    these signatures, which name no node."""
+    while True:
+        sig = [(col, tuple(sorted(colors[j] for j in below[i])),
+                tuple(sorted(colors[j] for j in above[i])))
+               for i, col in enumerate(colors)]
+        index = {s: k for k, s in enumerate(sorted(set(sig)))}
+        stable = len(index) == len(set(colors))
+        colors = [index[s] for s in sig]
+        if stable:
+            return colors
 
-    Nodes are colored by (rank, size) and refined by the color multisets of
-    their strict down- and up-sets until stable, then sorted.  Equal keys
-    imply isomorphic configurations (the full relation is serialized);
-    unbroken ties can at worst tell isomorphic configurations apart.
+
+def canonical_key(c: Configuration):
+    """Serialization of a configuration, equal exactly when two
+    configurations are isomorphic.
+
+    Nodes are colored by (rank, size) and refined (`_refine`).  While a
+    color is shared, each node of the first shared color is made unique in
+    turn and the coloring refined again; each order this ends in is
+    serialized, and the least serialization is the key.  An order with the
+    key's serialization gives an automorphism onto the key's order, so the
+    search returns to where their choices parted; there, and wherever
+    automorphisms found so far fix the choices made, a node they map onto
+    a node already tried ends in the same serializations and is skipped.
     """
     m = c.m
     above = [c.above(i) for i in range(m)]
     below = [c.below(i) for i in range(m)]
-    colors = [(c.ranks[i], c.sizes[i]) for i in range(m)]
-    for _ in range(m):
-        new = [(colors[i], tuple(sorted(colors[j] for j in below[i])),
-                tuple(sorted(colors[j] for j in above[i]))) for i in range(m)]
-        stable = len(set(new)) == len(set(colors))
-        colors = new
-        if stable:
-            break
-    order = sorted(range(m), key=lambda i: (colors[i], i))
-    pos = {node: i for i, node in enumerate(order)}
-    rel = frozenset((pos[i], pos[j]) for i, j in c.less)
-    return (tuple((c.sizes[v], c.ranks[v]) for v in order), rel)
+    best, autos = [], []  # best: the least key, its order and its choices
+
+    def search(colors, path):
+        """None, or the depth to return to when an automorphism is found."""
+        colors = _refine(colors, below, above)
+        if len(set(colors)) == m:
+            order = sorted(range(m), key=colors.__getitem__)
+            pos = {node: i for i, node in enumerate(order)}
+            key = (tuple((c.sizes[v], c.ranks[v]) for v in order),
+                   tuple(sorted((pos[i], pos[j]) for i, j in c.less)))
+            if best and key == best[0]:
+                auto = [0] * m
+                for u, v in zip(order, best[1]):
+                    auto[u] = v
+                autos.append(auto)
+                return next(d for d, (u, v) in enumerate(zip(path, best[2]))
+                            if u != v)
+            if not best or key < best[0]:
+                best[:] = key, order, path
+            return None
+        tied = min(col for col, k in Counter(colors).items() if k > 1)
+        tried = set()
+        for v in [i for i, col in enumerate(colors) if col == tied]:
+            gens = [a for a in autos if all(a[x] == x for x in path)]
+            orbit, todo = {v}, [v]
+            while todo:
+                x = todo.pop()
+                for a in gens:
+                    if a[x] not in orbit:
+                        orbit.add(a[x])
+                        todo.append(a[x])
+            if orbit & tried:
+                continue
+            tried.add(v)
+            back = search([2 * col + (col == tied and i != v)
+                           for i, col in enumerate(colors)], path + [v])
+            if back is not None and back < len(path):
+                return back
+        return None
+
+    search([(c.ranks[i], c.sizes[i]) for i in range(m)], [])
+    return best[0]
 
 
 def configuration_of(m: Matroid) -> Configuration:

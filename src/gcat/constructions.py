@@ -13,7 +13,7 @@ import math
 
 from .errors import ExactnessError, held
 from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum,
-                         catenary_from_g, g_from_catenary)
+                         catenary_from_g, dual_symbols, g_from_catenary)
 
 
 def _accumulate(pairs) -> dict:
@@ -25,9 +25,6 @@ def _accumulate(pairs) -> dict:
 
 # -- dual, truncation, lift ---------------------------------------------------
 
-_SWAP = str.maketrans("01", "10")
-
-
 def g_dual(g: GInvariant) -> GInvariant:
     """Reverse each symbol and switch 0s and 1s; coefficients unchanged.
 
@@ -35,8 +32,7 @@ def g_dual(g: GInvariant) -> GInvariant:
     with whatever gamma coordinates it holds: each dual is solved at most
     once.
     """
-    return held(g, "dual", lambda g: GInvariant(g.n, g.n - g.r, {
-        key[::-1].translate(_SWAP): c for key, c in g.coeffs.items()}))
+    return held(g, "dual", dual_symbols)
 
 
 def _demote(key: str) -> str:

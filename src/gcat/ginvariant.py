@@ -11,7 +11,9 @@ The two carry the same information, so each value holds what has been
 computed from it in one memo map (`held`): a G-invariant its gamma
 coordinates, which `g_from_catenary` stores and `catenary_from_g` solves
 once.  An invariant read from outside (a file, a deck) holds none, so it
-always gets the full solve and its checks.
+always gets the full solve and its checks.  `catenary` walks the flats of M,
+or those of its dual when that has rank r - 2 or less: G of one is G of
+the other with each symbol reversed and complemented.
 
 All coefficients are exact Python ints; the Tutte specialization runs on
 integers scaled by n!, and n! must divide every coefficient.
@@ -282,26 +284,40 @@ def gamma_one(a: tuple) -> int:
 
 def catenary(m: Matroid) -> CatenaryData:
     """Flag counts by composition: the copoint census of a paving
-    presentation, else the flag walk of the matroid less its coloops.
+    presentation, else the flag walk of the matroid less its coloops, or
+    of its dual when that has rank 2 or more below it (`_smaller_side`).
 
     A paving matroid of rank >= 2 has its catenary data fixed by its count
     of copoints of each size (`paving_catenary`), so a presentation holding
     that census walks nothing.  A matroid with k coloops is its deletion of
-    them plus U(k,k), the design with flat sizes 0, 1, ..., k, so
-    `_flag_walk` walks that deletion, a graph or a list when m is one, and
-    the coloops are shuffled back in by `cat_direct_sum`; the walk never
-    sees the 2^k copies of the deletion's flats that they would multiply
-    it into.  A matroid of coloops alone is U(n,n), and no minor is built.
+    them plus U(k,k), the design with flat sizes 0, 1, ..., k, so the walk
+    sees that deletion, a graph or a list when m is one, and the coloops
+    are shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
+    copies of the deletion's flats that they would multiply it into.  A
+    matroid of coloops alone is U(n,n), and no minor is built.
     """
     if m.copoint_sizes is not None:
         return paving_catenary(m.n, m.r, m.copoint_sizes)
     coloops = m.coloops()
     if not coloops:
-        return _flag_walk(m)
+        return _smaller_side(m)
     free = pmd_catenary(range(coloops.bit_count() + 1))
     if coloops == m.full:
         return free
-    return cat_direct_sum(_flag_walk(m.delete(coloops)), free)
+    return cat_direct_sum(_smaller_side(m.delete(coloops)), free)
+
+
+def _smaller_side(m: Matroid) -> CatenaryData:
+    """The flag walk of m, or, when n - r <= r - 2, of its dual, whose G
+    reversed and swapped is G(m) (`dual_symbols`), solved back exactly.
+
+    The dual lists no covers, so it closes a set by n rank calls; at
+    corank r - 1 that costs more than the smaller lattice saves.
+    """
+    if m.n - m.r > m.r - 2:
+        return _flag_walk(m)
+    g = g_from_catenary(_flag_walk(m.dual()))
+    return catenary_from_g(dual_symbols(g))
 
 
 def _flag_walk(m: Matroid) -> CatenaryData:
@@ -399,6 +415,15 @@ def g_from_catenary(c: CatenaryData) -> GInvariant:
     if min(c.counts.values(), default=1) > 0:
         g._held["catenary"] = c
     return g
+
+
+_SWAP = str.maketrans("01", "10")
+
+
+def dual_symbols(g: GInvariant) -> GInvariant:
+    """G of the dual: each symbol reversed and its 0s and 1s swapped."""
+    return GInvariant(g.n, g.n - g.r, {
+        key[::-1].translate(_SWAP): c for key, c in g.coeffs.items()})
 
 
 def g_invariant(m: Matroid) -> GInvariant:

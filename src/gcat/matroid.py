@@ -14,7 +14,8 @@ covers of a flat, from which the flats and the flag walk are built, cost one
 closure each, except where the presentation lists them: a graph reads every
 cover of a flat off one union-find of its components, so its walk closes
 only the bottom flat.  `catenary` walks the deletion of the coloops, which
-a graph or a list builds as its own kind.  A paving presentation of rank
+a graph or a list builds as its own kind, or, at corank r - 2 or less,
+that deletion's dual.  A paving presentation of rank
 r >= 2 (uniform, paving, Dowling) knows how many copoints it has of each
 size, which fixes its catenary data (the census theorem), so `catenary`
 walks no flats for it; no derived matroid carries that census.  Each
@@ -370,8 +371,9 @@ def _listed(n: int, pairs, census=None) -> Matroid:
     """The matroid of a list of (F, k) pairs: r(X) is the least k + |X - F|,
     which each caller says is a matroid rank function.
 
-    An element e outside X keeps that least value exactly when some F
-    attaining it holds e, so cl(X) is X and every such F, in one pass.  As
+    The rank loop keeps only the least value.  An element e outside X
+    keeps it exactly when some F attaining it holds e, so cl(X) is X and
+    every such F, in one pass.  As
     r(X | C) - r(C) is the least (k + |C - F| - r(C)) + |X - F|, the minor
     M / C \\ D lists each F - C - D, relabeled, at k + |C - F| - r(C), a set
     listed twice at its least rank.  As r(X) <= |X|, the empty set at rank 0
@@ -380,8 +382,16 @@ def _listed(n: int, pairs, census=None) -> Matroid:
     full = (1 << n) - 1
     listed = [(full & ~f, k, f) for f, k in pairs]
 
-    def scan(x):
+    def rank_of(x):
         # a list with an F at rank 0 ranks every set at most n
+        least = n + 1
+        for out, k, _ in listed:
+            score = k + (x & out).bit_count()
+            if score < least:
+                least = score
+        return least
+
+    def closure_of(x):
         least, closed = n + 1, x
         for out, k, f in listed:
             score = k + (x & out).bit_count()
@@ -389,7 +399,7 @@ def _listed(n: int, pairs, census=None) -> Matroid:
                 least, closed = score, x | f
             elif score == least:
                 closed |= f
-        return least, closed
+        return closed
 
     def minor_of(contract, delete):
         keep = enumerate(elements_of(full & ~(contract | delete)))
@@ -407,8 +417,8 @@ def _listed(n: int, pairs, census=None) -> Matroid:
         return _listed(len(bits), [(0, 0)] + [
             (g, k - rc) for g, k in lifted.items() if k - rc < g.bit_count()])
 
-    return Matroid(n, lambda x: scan(x)[0], closure_of=lambda x: scan(x)[1],
-                   minor_of=minor_of, copoint_sizes=census)
+    return Matroid(n, rank_of, closure_of=closure_of, minor_of=minor_of,
+                   copoint_sizes=census)
 
 
 def uniform(r: int, n: int) -> Matroid:

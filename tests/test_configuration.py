@@ -1,6 +1,7 @@
 """Configurations and the catenary-from-configuration recursion."""
 
 import itertools
+import random
 
 import pytest
 
@@ -10,13 +11,18 @@ from gcat import (Configuration, ExactnessError, basis_count_config,
                   config_truncate, configuration_of, from_graph,
                   independent_copoint_count, uniform)
 from gcat.serialization import configuration_from_json, configuration_to_json
-from conftest import K4_EDGES, load_data
+from conftest import DATA, K4_EDGES, load_data
 
 # two parallel classes of size 3 in a rank-2 matroid on 5 elements: the
 # labels pass the order checks but no matroid has this lattice
 NOT_A_MATROID = Configuration((0, 3, 3, 5), (0, 1, 1, 2),
                               frozenset({(0, 1), (0, 2), (0, 3), (1, 3),
                                          (2, 3)}))
+
+
+# every coloop-free matroid file in tests/data
+DATA_CONFIGS = sorted(p.stem for p in DATA.glob("*.json")
+                      if not load_data(p.stem).coloops())
 
 
 def complete_graph(v):
@@ -252,6 +258,42 @@ class TestCanonicalKey:
         b = Configuration((4, 0, 2), (2, 0, 1),
                           frozenset({(1, 0), (1, 2), (2, 0)}))
         assert canonical_key(a) == canonical_key(b)
+
+    def test_ties_left_by_refinement_are_broken(self):
+        # two 2-chains from one bottom to one top; color refinement alone
+        # leaves the two (2, 3) nodes and the two (3, 5) nodes tied, and
+        # sorting by node index paired them differently in these two
+        sizes, ranks = (0, 3, 3, 5, 5, 8), (0, 2, 2, 3, 3, 4)
+        a = Configuration.from_covers(
+            sizes, ranks, [(0, 1), (0, 2), (1, 3), (2, 4), (3, 5), (4, 5)])
+        b = Configuration.from_covers(
+            sizes, ranks, [(0, 1), (0, 2), (1, 4), (2, 3), (3, 5), (4, 5)])
+        assert canonical_key(a) == canonical_key(b)
+
+    def test_tied_orders_that_differ_keep_their_keys(self):
+        # four (3, 2) nodes under four (5, 3) nodes, each below two: one
+        # 8-cycle of covers against two 4-cycles, which refinement alone
+        # cannot tell apart
+        sizes = (0, 3, 3, 3, 3, 5, 5, 5, 5, 8)
+        ranks = (0, 2, 2, 2, 2, 3, 3, 3, 3, 4)
+        outer = [(0, i) for i in range(1, 5)] + [(j, 9) for j in range(5, 9)]
+        ring = Configuration.from_covers(sizes, ranks, outer + [
+            (1, 5), (1, 6), (2, 6), (2, 7), (3, 7), (3, 8), (4, 8), (4, 5)])
+        twins = Configuration.from_covers(sizes, ranks, outer + [
+            (1, 5), (1, 6), (2, 5), (2, 6), (3, 7), (3, 8), (4, 7), (4, 8)])
+        assert canonical_key(ring) != canonical_key(twins)
+
+    @pytest.mark.parametrize("name", DATA_CONFIGS)
+    def test_relabelings_give_one_key(self, name):
+        conf = configuration_of(load_data(name))
+        key, rng = canonical_key(conf), random.Random(name)
+        for _ in range(5):
+            perm = rng.sample(range(conf.m), conf.m)
+            place = {v: i for i, v in enumerate(perm)}
+            relabeled = Configuration(
+                [conf.sizes[v] for v in perm], [conf.ranks[v] for v in perm],
+                {(place[i], place[j]) for i, j in conf.less})
+            assert canonical_key(relabeled) == key
 
     def test_distinguishes_labels(self):
         a = chain_config([(0, 0), (2, 1), (5, 2)])

@@ -7,15 +7,15 @@ import time
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   basis_count, cat_direct_sum, catenary, catenary_from_g,
                   comp_to_seq, compositions, detect_free_product, dominates,
-                  dowling3, from_graph, from_paving_copoints,
-                  g_brute_force, g_from_catenary, g_invariant, g_shuffle,
-                  gamma_expand, gamma_one,
+                  dowling3, from_cyclic_flats, from_graph,
+                  from_paving_copoints, g_brute_force, g_from_catenary,
+                  g_invariant, g_shuffle, gamma_expand, gamma_one,
                   paving_catenary, pmd_catenary, seq_to_comp,
                   tutte_brute_force, tutte_from_g, uniform)
 from gcat.ginvariant import (_expand_shifted, _flag_walk, gamma_coeffs,
@@ -56,6 +56,21 @@ def _with_coloops(draw):
     for _ in range(k):
         m = m.add_coloop()
     return m
+
+
+@st.composite
+def _small_corank_graphs(draw):
+    """A cycle of 3-9 edges, up to 3 more edges on its vertices (chords,
+    parallel edges or loops) and up to 3 bridges hung off it, in a random
+    order: a connected graph of corank 1-4, mostly of core rank n - r + 2
+    or more."""
+    length = draw(st.integers(3, 9))
+    edges = [(v, (v + 1) % length) for v in range(length)]
+    end = st.integers(0, length - 1)
+    edges += draw(st.lists(st.tuples(end, end), max_size=3))
+    for v in range(length, length + draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    return from_graph(draw(st.permutations(edges)))
 
 
 class TestBijection:
@@ -307,6 +322,26 @@ class TestCatenary:
             catenary(m)
         assert len(built) == (m.coloops() != m.full)
         assert all(d.n == m.n - m.coloops().bit_count() for d in built)
+
+    @staticmethod
+    def _check_either_side(m):
+        # a core with n - r <= r - 2 is walked as its dual and solved back
+        c = catenary(m)
+        assert c == _flag_walk(m)
+        if m.n <= 9:
+            assert c == catenary_from_g(g_brute_force(m))
+
+    @settings(max_examples=60, deadline=None)
+    @given(presentations(10))
+    # a nested list of corank 2 and rank 6, walked as its dual
+    @example(from_cyclic_flats(8, [([], 0), ([0, 1, 2], 2), (range(8), 6)]))
+    def test_presentations_give_the_flag_walk(self, m):
+        self._check_either_side(m)
+
+    @settings(max_examples=60, deadline=None)
+    @given(_small_corank_graphs())
+    def test_small_corank_graphs_give_the_flag_walk(self, m):
+        self._check_either_side(m)
 
     @pytest.mark.parametrize("m", [
         uniform(0, 3),  # rank 0: the bottom flat is the top, key {3}

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gcat import ginvariant
 from gcat import (PresentationError, build_matroid, catenary, dowling3,
                   elements_of, from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
@@ -237,14 +238,15 @@ class TestMinorsAndDual:
             assert m.dual().dual().bases == m.bases, name
 
     def test_coloop_walk_closes_only_the_bottom_flat(self):
-        # a 7-cycle with a 6-edge path hung off it: catenary deletes the 6
-        # coloops and walks the deletion, a graph that lists its covers, so
-        # it closes only its bottom flat; m closes nothing and ranks only
-        # the empty set and the 13 coloop tests
-        cycle = [(i, (i + 1) % 7) for i in range(7)]
-        path = [(6 + i, 7 + i) for i in range(6)]
-        m = from_graph(cycle + path)
-        assert m.n == 13
+        # a 4-cycle with a chord and a 6-edge path hung off it: catenary
+        # deletes the 6 coloops and walks the deletion, of corank 2 = r - 1
+        # so walked as itself, a graph that lists its covers, so it closes
+        # only its bottom flat; m closes nothing and ranks only the empty
+        # set and the 11 coloop tests
+        core = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
+        path = [(3 + i, 4 + i) for i in range(6)]
+        m = from_graph(core + path)
+        assert m.n == 11
         closed, walked, minor = closures(m), [], Matroid.minor
 
         def traced(self, *args, **kwargs):
@@ -256,10 +258,28 @@ class TestMinorsAndDual:
             mp.setattr(Matroid, "minor", traced)
             catenary(m)
         assert closed == []
-        assert len(m._rank_cache) == 14
+        assert len(m._rank_cache) == 12
         (d, d_closed), = walked
-        assert (d.n, d.r) == (7, 6) and d._covers_of is not None
+        assert (d.n, d.r) == (5, 3) and d._covers_of is not None
         assert d_closed == [0]
+
+    def test_small_corank_core_is_walked_as_its_dual(self):
+        # a 7-cycle with a 6-edge path hung off it: the deletion of the
+        # coloops is the 7-cycle, n - r = 1 <= r - 2 = 4, so the one walk
+        # is of its dual, of rank 1, and the catenary data come back
+        # through G: the n!/2 flags of C7, all of one composition
+        cycle = [(i, (i + 1) % 7) for i in range(7)]
+        path = [(6 + i, 7 + i) for i in range(6)]
+        m = from_graph(cycle + path)
+        walked, walk = [], ginvariant._flag_walk
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(ginvariant, "_flag_walk",
+                       lambda d: walked.append((d.n, d.r)) or walk(d))
+            c = ginvariant.catenary(m)
+        assert walked == [(7, 1)]
+        core = ginvariant.catenary(from_graph(cycle))
+        assert core.counts == {(0, 1, 1, 1, 1, 1, 2): 2520}
+        assert c == ginvariant.cat_direct_sum(core, catenary(uniform(6, 6)))
 
 
 class TestConstructions:

@@ -85,6 +85,15 @@ def test_invariant_layer_imports_no_matroid(module):
                 if name == "gcat.matroid" or name.startswith("gcat.matroid.")}
 
 
+def test_catenary_layer_imports_no_constructions():
+    # catenary takes a dual's G back through `dual_symbols`, which
+    # constructions imports from ginvariant, so constructions stays idle
+    imported = _imported_modules(ROOT / "src" / "gcat" / "ginvariant.py")
+    assert not {name for name in imported
+                if name == "gcat.constructions"
+                or name.startswith("gcat.constructions.")}
+
+
 def test_no_fractions_in_gcat():
     # every solve is exact integer division with a remainder check
     imported = {name for path in (ROOT / "src" / "gcat").glob("*.py")
