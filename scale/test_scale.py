@@ -23,8 +23,9 @@ import pytest
 
 from gcat import (GInvariant, basis_count, catenary, catenary_from_config,
                   catenary_from_g, configuration_of, copoint_deck,
-                  detect_free_product, from_graph, g_free_product,
-                  g_from_catenary, g_invariant, parameters,
+                  detect_free_product, from_graph, g_add_loop,
+                  g_free_coextension, g_free_product, g_from_catenary,
+                  g_invariant, g_lift, parameters,
                   reconstruct_from_copoint_deck, recover_n, tutte_from_g)
 from gcat.serialization import configuration_from_json, configuration_to_json
 
@@ -135,3 +136,39 @@ def test_k8_copoint_deck_reconstruction():
     deck = copoint_deck(m)
     assert recover_n(deck) == 28
     assert reconstruct_from_copoint_deck(deck) == g_invariant(m)
+
+
+def _promoted(key):
+    return [key.replace("0", "1", 1)]
+
+
+def _looped(key):
+    return [key[:i] + "0" + key[i:] for i in range(len(key) + 1)]
+
+
+def _rewritten(g, n, r, *rewrites):
+    """g with each symbol rewritten by the paper's rules, in turn."""
+    keys = g.coeffs
+    for rewrite in rewrites:
+        acc = {}
+        for key, c in keys.items():
+            for s in rewrite(key):
+                acc[s] = acc.get(s, 0) + c
+        keys = acc
+    return GInvariant(n, r, keys)
+
+
+@pytest.mark.parametrize("op, shape, rewrites", [
+    (g_lift, (28, 8), (_promoted,)),
+    (g_add_loop, (29, 7), (_looped,)),
+    (g_free_coextension, (29, 8), (_looped, _promoted))],
+    ids=["lift", "add_loop", "free_coextension"])
+def test_k8_co_constructions_follow_the_symbol_rules(op, shape, rewrites):
+    # each goes through g_dual; a fresh copy of G(K8) holds no dual
+    g = g_invariant(complete(8))
+    assert (g.n, g.r, len(g.coeffs)) == (28, 7, 2_496)
+    fresh = GInvariant(g.n, g.r, g.coeffs)
+    t0 = time.perf_counter()
+    got = op(fresh)
+    assert time.perf_counter() - t0 < 1
+    assert got == _rewritten(g, *shape, *rewrites)

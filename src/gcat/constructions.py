@@ -3,8 +3,8 @@
 Every operation here works purely on invariant vectors, never touching a
 matroid; the test suite validates each one against matroid-level composition.
 Each identity has one path: symbol-basis rewrites accumulate coefficients,
-and gamma-basis (catenary) forms are used where they are simpler.  The
-catenary-level direct sum, loops included, is `cat_direct_sum`.
+each co-side construction is its partner seen through `g_dual`, and the
+direct sum, loops included, goes through the gamma basis (`cat_direct_sum`).
 """
 
 from __future__ import annotations
@@ -40,11 +40,6 @@ def _demote(key: str) -> str:
     return key[:i] + "0" + key[i + 1:]
 
 
-def _promote(key: str) -> str:
-    i = key.index("0")
-    return key[:i] + "1" + key[i + 1:]
-
-
 def g_truncate(g: GInvariant) -> GInvariant:
     """Turn the rightmost 1 of each symbol into a 0.
 
@@ -62,11 +57,10 @@ def g_truncate(g: GInvariant) -> GInvariant:
 
 
 def g_lift(g: GInvariant) -> GInvariant:
-    """Turn the leftmost 0 of each symbol into a 1."""
+    """The truncation seen through the dual: each leftmost 0 becomes a 1."""
     if g.r >= g.n:
         raise ValueError("cannot lift a matroid with no circuits")
-    coeffs = _accumulate((_promote(key), c) for key, c in g.coeffs.items())
-    return GInvariant(g.n, g.r + 1, coeffs)
+    return g_dual(g_truncate(g_dual(g)))
 
 
 # -- direct sums ---------------------------------------------------------------
@@ -84,23 +78,21 @@ def g_shuffle(g1: GInvariant, g2: GInvariant) -> GInvariant:
 
 # -- single-element and loop adjustments ----------------------------------------
 
-def _insertions(key: str, ch: str):
+def _insertions(key: str):
     for i in range(len(key) + 1):
-        yield key[:i] + ch + key[i:]
+        yield key[:i] + "1" + key[i:]
 
 
 def g_add_coloop(g: GInvariant) -> GInvariant:
     """Insert a 1 in every position of every symbol."""
     coeffs = _accumulate((s, c) for key, c in g.coeffs.items()
-                         for s in _insertions(key, "1"))
+                         for s in _insertions(key))
     return GInvariant(g.n + 1, g.r + 1, coeffs)
 
 
 def g_add_loop(g: GInvariant) -> GInvariant:
-    """Insert a 0 in every position of every symbol."""
-    coeffs = _accumulate((s, c) for key, c in g.coeffs.items()
-                         for s in _insertions(key, "0"))
-    return GInvariant(g.n + 1, g.r, coeffs)
+    """The coloop addition seen through the dual: a 0 in every position."""
+    return g_dual(g_add_coloop(g_dual(g)))
 
 
 # -- free extension and coextension ----------------------------------------------
@@ -111,8 +103,8 @@ def g_free_extension(g: GInvariant) -> GInvariant:
 
 
 def g_free_coextension(g: GInvariant) -> GInvariant:
-    """The free coextension is the lift of M plus a loop."""
-    return g_lift(g_add_loop(g))
+    """The free extension seen through the dual."""
+    return g_dual(g_free_extension(g_dual(g)))
 
 
 # -- free product -----------------------------------------------------------------

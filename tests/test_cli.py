@@ -177,6 +177,19 @@ class TestOps:
         code, _ = run(capsys, "op", "dual", data("u23"), data("k4"))
         assert code == 1
 
+    # G of U(2,2) has no circuits to lift; G of U(0,2) has no rank to cut
+    @pytest.mark.parametrize("op, doc, err", [
+        ("lift", {"n": 2, "r": 2, "coeffs": {"11": "2"}},
+         "error: cannot lift a matroid with no circuits\n"),
+        ("truncate", {"n": 2, "r": 0, "coeffs": {"00": "2"}},
+         "error: cannot truncate at rank 0\n")], ids=["lift", "truncate"])
+    def test_guard_texts_exit_1(self, capsys, tmp_path, op, doc, err):
+        g = tmp_path / "g.json"
+        g.write_text(json.dumps(doc))
+        assert main(["op", op, str(g)]) == 1
+        out = capsys.readouterr()
+        assert out.out == "" and out.err == err
+
 
 class TestConfig:
     def test_config_roundtrip(self, capsys, tmp_path):

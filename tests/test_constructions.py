@@ -175,13 +175,12 @@ class TestFreeExtension:
     def test_trivial(self):
         assert g_free_extension(GInvariant(1, 1, {"1": 1})).coeffs == {"10": 2}
 
-    def test_duality_on_corpus(self, corpus, cache):
+    def test_coextension_is_lift_plus_loop_on_corpus(self, corpus, cache):
         for name, m in corpus:
             if m.n > 6:
                 continue
             g = cache.g(name, m)
-            assert g_free_coextension(g) \
-                == g_dual(g_free_extension(g_dual(g))), name
+            assert g_free_coextension(g) == g_lift(g_add_loop(g)), name
 
 
 class TestUnaryAgainstMatroids:
@@ -232,6 +231,43 @@ def _integer_vectors(draw, n):
 
 def _vectors(n):
     return st.one_of(_sized_invariants(n), _integer_vectors(n))
+
+
+def _rewritten(g, n, r, rewrite):
+    """g with each symbol replaced by the symbols `rewrite` gives for it."""
+    acc = {}
+    for key, c in g.coeffs.items():
+        for s in rewrite(key):
+            acc[s] = acc.get(s, 0) + c
+    return GInvariant(n, r, acc)
+
+
+class TestSymbolRules:
+    """The paper's symbol rules for the co-side constructions, which are
+    computed through `g_dual`; the rules are linear, so they hold on every
+    integer vector, invariant or not."""
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.integers(0, 6).flatmap(_integer_vectors))
+    def test_lift_promotes_the_leftmost_0(self, g):
+        if g.r == g.n:
+            with pytest.raises(ValueError, match="no circuits"):
+                g_lift(g)
+            return
+        assert g_lift(g) == _rewritten(
+            g, g.n, g.r + 1, lambda key: [key.replace("0", "1", 1)])
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.integers(0, 6).flatmap(_integer_vectors))
+    def test_add_loop_inserts_a_0_everywhere(self, g):
+        assert g_add_loop(g) == _rewritten(
+            g, g.n + 1, g.r,
+            lambda key: [key[:i] + "0" + key[i:] for i in range(g.n + 1)])
+
+    @settings(deadline=None, derandomize=True)
+    @given(st.integers(0, 6).flatmap(_integer_vectors))
+    def test_free_coextension_is_lift_plus_loop(self, g):
+        assert g_free_coextension(g) == g_lift(g_add_loop(g))
 
 
 class TestFreeProduct:
