@@ -7,7 +7,8 @@ polynomial counts the same trees at (1, 1), the 2^n subsets at (2, 2) and
 the v! acyclic orientations at (2, 0).  A connected graph with n edges on
 v vertices, each edge made a path of k edges, has k^(n-v+1) times its
 trees, and a cycle C_n has n trees and n!/2 flags.  The configuration
-theorem is checked against the flag count of the matroid itself,
+theorem is checked against the flag count of the matroid itself, a
+nested list's data against a basis count layer by layer,
 free-product detection against the parts it was built from, and
 copoint-deck reconstruction against the invariant it was taken from.
 Not part of the tier-1 suite; run as
@@ -23,9 +24,9 @@ import pytest
 
 from gcat import (GInvariant, basis_count, catenary, catenary_from_config,
                   catenary_from_g, configuration_of, copoint_deck,
-                  detect_free_product, from_graph, g_add_loop,
-                  g_free_coextension, g_free_product, g_from_catenary,
-                  g_invariant, g_lift, parameters,
+                  detect_free_product, from_cyclic_flats, from_graph,
+                  g_add_loop, g_free_coextension, g_free_product,
+                  g_from_catenary, g_invariant, g_lift, parameters,
                   reconstruct_from_copoint_deck, recover_n, tutte_from_g)
 from gcat.serialization import configuration_from_json, configuration_to_json
 
@@ -72,6 +73,28 @@ def test_k5_subdivided_twice():
     assert time.perf_counter() - t0 < 10
     assert (c.n, c.r) == (30, 24)
     assert basis_count(c) == 125 * 3 ** 6
+
+
+def test_nested_list_of_40_is_solved_from_its_configuration():
+    # the chain (6, 2) < (15, 5) < (28, 8) < (40, 11) above the empty set;
+    # the list names its cyclic flats, so no flat is walked
+    chain = [(6, 2), (15, 5), (28, 8), (40, 11)]
+    m = from_cyclic_flats(40, [([], 0)] + [(range(s), k) for s, k in chain])
+    t0 = time.perf_counter()
+    c = catenary(m)
+    assert time.perf_counter() - t0 < 1
+    assert (c.n, c.r) == (40, 11)
+    # a basis is an 11-set holding at most k elements of each chain flat
+    # of rank k, so it is counted layer by layer: ways[j] counts the
+    # j-sets of the layers so far
+    ways, below = {0: 1}, 0
+    for size, k in chain:
+        layer, nxt = size - below, {}
+        for j, w in ways.items():
+            for t in range(min(layer, k - j) + 1):
+                nxt[j + t] = nxt.get(j + t, 0) + w * math.comb(layer, t)
+        ways, below = nxt, size
+    assert basis_count(c) == ways[11]
 
 
 def test_k9_flags_and_spanning_trees():

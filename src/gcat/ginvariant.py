@@ -11,7 +11,8 @@ The two carry the same information, so each value holds what has been
 computed from it in one memo map (`held`): a G-invariant its gamma
 coordinates, which `g_from_catenary` stores and `catenary_from_g` solves
 once.  An invariant read from outside (a file, a deck) holds none, so it
-always gets the full solve and its checks.  `catenary` walks the flats of M,
+always gets the full solve and its checks.  `catenary` solves a list
+presentation from its configuration, and walks the flats of any other M,
 or those of its dual when that has rank r - 2 or less: G of one is G of
 the other with each symbol reversed and complemented.
 
@@ -284,35 +285,46 @@ def gamma_one(a: tuple) -> int:
 
 def catenary(m: Matroid) -> CatenaryData:
     """Flag counts by composition: the copoint census of a paving
-    presentation, else the flag walk of the matroid less its coloops, or
-    of its dual when that has rank 2 or more below it (`_smaller_side`).
+    presentation, else those of the matroid less its coloops, solved from
+    its configuration when it is a list, else walked (`_smaller_side`).
 
     A paving matroid of rank >= 2 has its catenary data fixed by its count
     of copoints of each size (`paving_catenary`), so a presentation holding
     that census walks nothing.  A matroid with k coloops is its deletion of
-    them plus U(k,k), the design with flat sizes 0, 1, ..., k, so the walk
-    sees that deletion, a graph or a list when m is one, and the coloops
+    them plus U(k,k), the design with flat sizes 0, 1, ..., k, so only that
+    deletion is solved, a graph or a list when m is one, and the coloops
     are shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
     copies of the deletion's flats that they would multiply it into.  A
-    matroid of coloops alone is U(n,n), and no minor is built.
+    list lists its cyclic flats, so the configuration theorem gives its
+    deletion's data with no flat walked.  A matroid of loops or coloops
+    alone is U(0,n) or U(n,n), and no minor is built.
     """
     if m.copoint_sizes is not None:
         return paving_catenary(m.n, m.r, m.copoint_sizes)
+    if m.r == 0:
+        return pmd_catenary([m.n])
     coloops = m.coloops()
-    if not coloops:
-        return _smaller_side(m)
-    free = pmd_catenary(range(coloops.bit_count() + 1))
     if coloops == m.full:
-        return free
-    return cat_direct_sum(_smaller_side(m.delete(coloops)), free)
+        return pmd_catenary(range(m.n + 1))
+    core = m.delete(coloops) if coloops else m
+    if core._cyclic_flats_of is None:
+        c = _smaller_side(core)
+    else:
+        # configuration imports this module, so it is imported here
+        from .configuration import catenary_from_config, configuration_of
+        c = catenary_from_config(configuration_of(core))
+    if not coloops:
+        return c
+    return cat_direct_sum(c, pmd_catenary(range(coloops.bit_count() + 1)))
 
 
 def _smaller_side(m: Matroid) -> CatenaryData:
     """The flag walk of m, or, when n - r <= r - 2, of its dual, whose G
     reversed and swapped is G(m) (`dual_symbols`), solved back exactly.
 
-    The dual lists no covers, so it closes a set by n rank calls; at
-    corank r - 1 that costs more than the smaller lattice saves.
+    The dual closes a set through m's cyclic part, one search for a graph,
+    but lists no covers, so it closes once per cover; at corank r - 1 that
+    costs more than the smaller lattice saves.
     """
     if m.n - m.r > m.r - 2:
         return _flag_walk(m)

@@ -5,20 +5,24 @@ is its rank function on bitmasks.  A presentation supplies one: union-find
 for a graph; for uniform, paving, Dowling and cyclic-flat matroids, one list
 of (F, k) pairs ranked by the min-formula r(X) = min k + |X - F|
 (`_listed`); and, for a matroid given by its bases, the largest intersection
-with a basis.  Graphs and lists also close a set from the presentation, and
-a graph's minor is a graph, a list's minor a list.  Any other derived
-matroid (minor, dual, truncation, extension, relaxation, sum, product) ranks
-through a transform of its parents' rank, so it keeps them alive, and closes
-a set by one rank call per element outside it.  No closure is stored.  The
+with a basis.  Graphs and lists also close a set and take its cyclic
+part, the union of the circuits inside it, from the presentation, and a
+graph's minor is a graph, a list's minor a list.  A dual closes and takes
+cyclic parts through its parent's.  Any other derived matroid (minor,
+truncation, extension, relaxation, sum, product) ranks through a transform
+of its parents' rank, so it keeps them alive, and closes a set or takes
+its cyclic part by one rank call per element.  No closure is stored.  The
 covers of a flat, from which the flats and the flag walk are built, cost one
 closure each, except where the presentation lists them: a graph reads every
 cover of a flat off one union-find of its components, so its walk closes
-only the bottom flat.  `catenary` walks the deletion of the coloops, which
-a graph or a list builds as its own kind, or, at corank r - 2 or less,
-that deletion's dual.  A paving presentation of rank
-r >= 2 (uniform, paving, Dowling) knows how many copoints it has of each
-size, which fixes its catenary data (the census theorem), so `catenary`
-walks no flats for it; no derived matroid carries that census.  Each
+only the bottom flat.  The coloops are what the cyclic part of E leaves
+out.  `catenary` solves the deletion of the coloops, which a graph or a
+list builds as its own kind: a list names every cyclic flat, so its
+configuration gives the data; any other matroid is walked or, at corank
+r - 2 or less, its dual.  A paving presentation of rank r >= 2 (uniform,
+paving, Dowling) knows how many copoints it has of each size, which fixes
+its catenary data (the census theorem), so `catenary` walks no flats for
+it; no derived matroid carries that census.  Each
 presentation but a basis family is a matroid by construction, so only
 `from_bases` checks basis exchange, on every family.  The bases, flats and
 circuits are built only when read, and held in one memo map (`held`).
@@ -64,10 +68,13 @@ class Matroid:
     """A matroid with ground set {0, ..., n-1}, given by its rank function.
 
     `rank_of` maps a bitmask to its rank; `r` is the rank of the ground set.
-    `closure_of`, when given, maps a bitmask to its closure without ranking.
+    `closure_of`, when given, maps a bitmask to its closure without ranking,
+    and `cyclic_of` maps one to its cyclic part, the union of the circuits
+    inside it.
     `covers_of`, when given, maps a set x and elements `rest` outside cl(x)
     to the set of closures cl(x + e), e in rest, without closing each.
-    `minor_of`, when given, maps (contract, delete) to the minor.
+    `minor_of`, when given, maps (contract, delete) to the minor, and
+    `cyclic_flats_of` lists the cyclic flats as `cyclic_flats` does.
     `copoint_sizes`, when given, maps each copoint size of a paving matroid
     of rank >= 2 to the number of copoints of that size.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
@@ -76,17 +83,21 @@ class Matroid:
     immutable; every operation returns a new matroid.
     """
 
-    __slots__ = ("n", "r", "full", "_rank_of", "_closure_of", "_covers_of",
-                 "_minor_of", "copoint_sizes", "_rank_cache", "_held")
+    __slots__ = ("n", "r", "full", "_rank_of", "_closure_of", "_cyclic_of",
+                 "_covers_of", "_minor_of", "_cyclic_flats_of",
+                 "copoint_sizes", "_rank_cache", "_held")
 
-    def __init__(self, n: int, rank_of, *, closure_of=None, covers_of=None,
-                 minor_of=None, copoint_sizes=None):
+    def __init__(self, n: int, rank_of, *, closure_of=None, cyclic_of=None,
+                 covers_of=None, minor_of=None, cyclic_flats_of=None,
+                 copoint_sizes=None):
         self.n = n
         self.full = (1 << n) - 1
         self._rank_of = rank_of
         self._closure_of = closure_of
+        self._cyclic_of = cyclic_of
         self._covers_of = covers_of
         self._minor_of = minor_of
+        self._cyclic_flats_of = cyclic_flats_of
         self.copoint_sizes = copoint_sizes
         self.r = rank_of(self.full)
         self._rank_cache = {0: 0}
@@ -166,7 +177,7 @@ class Matroid:
         return self.rank(self.full & ~(1 << e)) < self.r
 
     def coloops(self) -> int:
-        return mask_of(e for e in range(self.n) if self.is_coloop(e))
+        return self.full & ~self.cyclic(self.full)
 
     # -- flats -----------------------------------------------------------
 
@@ -233,17 +244,30 @@ class Matroid:
         dual = self.dual()
         return sorted(self.full & ~f for f, _ in dual.flats())
 
+    def cyclic(self, x: int) -> int:
+        """The union of the circuits inside x: each e in x with
+        r(x - e) = r(x), or the presentation's `cyclic_of`."""
+        if self._cyclic_of is not None:
+            return self._cyclic_of(x)
+        rx, out = self.rank(x), 0
+        for e in elements_of(x):
+            if self.rank(x & ~(1 << e)) == rx:
+                out |= 1 << e
+        return out
+
     def is_cyclic(self, x: int) -> bool:
         """True when the restriction to x has no coloops."""
-        rx = self.rank(x)
-        return all(self.rank(x & ~(1 << e)) == rx for e in elements_of(x))
+        return self.cyclic(x) == x
 
     def cyclic_flats(self) -> list[tuple[int, int]]:
         """The lattice of cyclic flats as (mask, rank) pairs, by rank then mask.
 
         The order relation is bitmask containment; join is cl(X | Y) and meet
-        is the union of the circuits inside X & Y.
+        is the union of the circuits inside X & Y.  A list presentation
+        lists them itself (`cyclic_flats_of`), walking no flat.
         """
+        if self._cyclic_flats_of is not None:
+            return self._cyclic_flats_of()
         return [(f, k) for f, k in self.flats() if self.is_cyclic(f)]
 
     def is_paving(self) -> bool:
@@ -286,9 +310,17 @@ class Matroid:
         return self.minor(delete=x)
 
     def dual(self) -> "Matroid":
-        """r*(X) = |X| - r + r(E - X)."""
+        """r*(X) = |X| - r + r(E - X).
+
+        e outside X is in cl*(X) exactly when it is a coloop of M|(E - X),
+        and e in X lies on a cocircuit inside X exactly when it is outside
+        cl(E - X), so the dual closes and takes cyclic parts through m's.
+        """
         rank, r, full = self.rank, self.r, self.full
-        return Matroid(self.n, lambda x: x.bit_count() - r + rank(full & ~x))
+        cyclic, closure = self.cyclic, self.closure
+        return Matroid(self.n, lambda x: x.bit_count() - r + rank(full & ~x),
+                       closure_of=lambda x: full & ~cyclic(full & ~x),
+                       cyclic_of=lambda x: x & ~closure(full & ~x))
 
     # -- unary constructions ----------------------------------------------
 
@@ -373,7 +405,11 @@ def _listed(n: int, pairs, census=None) -> Matroid:
 
     The rank loop keeps only the least value.  An element e outside X
     keeps it exactly when some F attaining it holds e, so cl(X) is X and
-    every such F, in one pass.  As
+    every such F, in one pass; e in X keeps it exactly when every such F
+    holds e, which gives the cyclic part of X.  Every cyclic flat Z is
+    listed: an F attaining r(Z) holds Z, as Z - F would be coloops of M|Z,
+    and then r(F) = r(Z) makes F = Z.  So a listed F is a cyclic flat
+    exactly when it is the only listed set attaining r(F).  As
     r(X | C) - r(C) is the least (k + |C - F| - r(C)) + |X - F|, the minor
     M / C \\ D lists each F - C - D, relabeled, at k + |C - F| - r(C), a set
     listed twice at its least rank.  As r(X) <= |X|, the empty set at rank 0
@@ -401,6 +437,33 @@ def _listed(n: int, pairs, census=None) -> Matroid:
                 closed |= f
         return closed
 
+    def cyclic_of(x):
+        least, common = n + 1, x
+        for out, k, f in listed:
+            score = k + (x & out).bit_count()
+            if score < least:
+                least, common = score, x & f
+            elif score == least:
+                common &= f
+        return common
+
+    def cyclic_flats_of():
+        seen, found = set(), []
+        for _, _, f in listed:
+            if f in seen:
+                continue
+            seen.add(f)
+            least, alone = n + 1, True
+            for out, k, g in listed:
+                score = k + (f & out).bit_count()
+                if score < least:
+                    least, alone = score, g == f
+                elif score == least:
+                    alone = alone and g == f
+            if alone:
+                found.append((least, f))
+        return [(f, k) for k, f in sorted(found)]
+
     def minor_of(contract, delete):
         keep = enumerate(elements_of(full & ~(contract | delete)))
         bits = [(1 << e, 1 << i) for i, e in keep]
@@ -417,7 +480,8 @@ def _listed(n: int, pairs, census=None) -> Matroid:
         return _listed(len(bits), [(0, 0)] + [
             (g, k - rc) for g, k in lifted.items() if k - rc < g.bit_count()])
 
-    return Matroid(n, rank_of, closure_of=closure_of, minor_of=minor_of,
+    return Matroid(n, rank_of, closure_of=closure_of, cyclic_of=cyclic_of,
+                   minor_of=minor_of, cyclic_flats_of=cyclic_flats_of,
                    copoint_sizes=census)
 
 
@@ -438,6 +502,9 @@ def from_graph(edges) -> Matroid:
     and each edge incident to two vertices of one merged component.  Each
     edge outside the closure joins two components, and the cover it spans
     gains every edge between them, so one union-find lists every cover.
+    An edge of x lies on a cycle of x exactly when it is a loop, an edge a
+    search of x meets at a vertex already reached, or an edge of the tree
+    path that such an edge closes, so one search gives the cyclic part.
     A minor is the graph with the contracted edges' ends merged.
     """
     edges = [tuple(e) for e in edges]
@@ -493,6 +560,37 @@ def from_graph(edges) -> Matroid:
     def closure_of(x):
         return components(x)[2]
 
+    def cyclic_of(x):
+        # an edge met at a vertex already reached closes a cycle with the
+        # tree path between its ends, which climbs to where they meet
+        cyclic, rest = x & loops, x & ~loops
+        depth, up, via = [-1] * nverts, [0] * nverts, [0] * nverts
+        while rest:
+            root = ends[(rest & -rest).bit_length() - 1][0]
+            depth[root], stack = 0, [root]
+            while stack:
+                v = stack.pop()
+                out = incident[v] & rest
+                rest ^= out
+                while out:
+                    bit = out & -out
+                    out ^= bit
+                    a, w = ends[bit.bit_length() - 1]
+                    if w == v:
+                        w = a
+                    if depth[w] < 0:
+                        depth[w], up[w], via[w] = depth[v] + 1, v, bit
+                        stack.append(w)
+                        continue
+                    cyclic |= bit
+                    u = v
+                    while u != w:
+                        if depth[u] < depth[w]:
+                            u, w = w, u
+                        cyclic |= via[u]
+                        u = up[u]
+        return cyclic
+
     def covers_of(x, rest):
         # an edge outside cl(x) joins two of its components, and the cover
         # it spans gains every edge between those two
@@ -513,7 +611,7 @@ def from_graph(edges) -> Matroid:
                            if not gone >> i & 1])
 
     return Matroid(len(edges), rank_of, closure_of=closure_of,
-                   covers_of=covers_of, minor_of=minor_of)
+                   cyclic_of=cyclic_of, covers_of=covers_of, minor_of=minor_of)
 
 
 def from_paving_copoints(n: int, r: int, copoints) -> Matroid:

@@ -16,10 +16,10 @@ from . import parameters as params
 from .configuration import catenary_from_config, configuration_of
 from .errors import ExactnessError
 from .freeproduct import _pinchpoint_flats, detect_free_product
-from .ginvariant import (DEFAULT_ORACLE_LIMIT, GInvariant, basis_count,
-                         catenary, catenary_from_g, g_brute_force,
-                         g_from_catenary, g_invariant, invariant_copies,
-                         tutte_brute_force, tutte_from_g)
+from .ginvariant import (DEFAULT_ORACLE_LIMIT, GInvariant, _flag_walk,
+                         basis_count, catenary, catenary_from_g,
+                         g_brute_force, g_from_catenary, g_invariant,
+                         invariant_copies, tutte_brute_force, tutte_from_g)
 from .matroid import Matroid, elements_of
 from .reconstruction import (_size_grouped, circuit_deck,
                              circuit_deck_reconstruct, copoint_deck, rank_deck,
@@ -211,9 +211,12 @@ def run_verify(m: Matroid, deep: bool = False):
                 _require(right == g_invariant(m.contract(flats[0])), (k, s))
 
         if not m.coloops():
+            # `catenary` of a list is this solve, so it is checked against
+            # the flag walk
             @check("configuration-catenary")
             def _():
-                _require(catenary_from_config(configuration_of(m)) == cat)
+                _require(catenary_from_config(configuration_of(m))
+                         == _flag_walk(m))
 
         @check("freeproduct-detection-vs-lattice")
         def _():

@@ -3,10 +3,12 @@
 import itertools
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gcat import ginvariant
+from gcat.ginvariant import (_flag_walk, catenary_from_g, g_brute_force,
+                             pmd_catenary)
 from gcat import (PresentationError, build_matroid, catenary, dowling3,
                   elements_of, from_bases, from_cyclic_flats, from_graph,
                   from_paving_copoints, mask_of, uniform)
@@ -241,8 +243,8 @@ class TestMinorsAndDual:
         # a 4-cycle with a chord and a 6-edge path hung off it: catenary
         # deletes the 6 coloops and walks the deletion, of corank 2 = r - 1
         # so walked as itself, a graph that lists its covers, so it closes
-        # only its bottom flat; m closes nothing and ranks only the empty
-        # set and the 11 coloop tests
+        # only its bottom flat; m closes nothing and ranks nothing, since
+        # its coloops are what its cyclic part leaves out
         core = [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)]
         path = [(3 + i, 4 + i) for i in range(6)]
         m = from_graph(core + path)
@@ -258,10 +260,40 @@ class TestMinorsAndDual:
             mp.setattr(Matroid, "minor", traced)
             catenary(m)
         assert closed == []
-        assert len(m._rank_cache) == 12
+        assert m._rank_cache == {0: 0}
         (d, d_closed), = walked
         assert (d.n, d.r) == (5, 3) and d._covers_of is not None
         assert d_closed == [0]
+
+    @staticmethod
+    def _ranked(run):
+        """`run()` and the (matroid, set) pairs ranked while it runs."""
+        ranked, rank = [], Matroid.rank
+
+        def traced(self, x):
+            ranked.append((self, x))
+            return rank(self, x)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Matroid, "rank", traced)
+            out = run()
+        return out, ranked
+
+    def test_coloop_split_of_a_graph_ranks_nothing(self):
+        # a doubled edge with a 200-edge path hung off it: the 200 coloops
+        # are what one search of the graph leaves outside its cyclic part
+        m = from_graph([(0, 1), (0, 1)] + [(1 + i, 2 + i) for i in range(200)])
+        c, ranked = self._ranked(lambda: catenary(m))
+        assert [x for d, x in ranked if d is m] == []
+        assert c == ginvariant.cat_direct_sum(catenary(uniform(1, 2)),
+                                              pmd_catenary(range(201)))
+
+    def test_graph_dual_closes_without_ranking(self):
+        d = from_graph(BRIDGED_EDGES).dual()
+        closed, ranked = self._ranked(
+            lambda: [d.closure(x) for x in range(1 << d.n)])
+        assert ranked == []
+        assert closed == [_rank_closure(d, x) for x in range(1 << d.n)]
 
     def test_small_corank_core_is_walked_as_its_dual(self):
         # a 7-cycle with a 6-edge path hung off it: the deletion of the
@@ -474,6 +506,104 @@ def _rank_closure(m, x):
     rx = m.rank(x)
     return x | mask_of(e for e in elements_of(m.full & ~x)
                        if m.rank(x | 1 << e) == rx)
+
+
+def _rank_cyclic(m, x):
+    """Cyclic part by definition: each element of x that keeps its rank."""
+    rx = m.rank(x)
+    return mask_of(e for e in elements_of(x) if m.rank(x & ~(1 << e)) == rx)
+
+
+# a loop, a parallel pair, a triangle and two bridges
+BRIDGED_EDGES = [(0, 0), (0, 1), (0, 1), (1, 2), (2, 3), (3, 1), (3, 4),
+                 (4, 5)]
+
+
+class TestCyclicOracle:
+    """Each cyclic part, the coloops and the dual's closure against their
+    rank definitions, on every subset: a graph's come from one search, a
+    list's from one scan, a dual's from its parent's closure and cyclic
+    part, and any other matroid's from ranks."""
+
+    @staticmethod
+    def _check(m):
+        for x in range(1 << m.n):
+            assert m.cyclic(x) == _rank_cyclic(m, x), x
+        assert m.coloops() == mask_of(e for e in range(m.n) if m.is_coloop(e))
+        d = m.dual()
+        for x in range(1 << m.n):
+            assert d.closure(x) == _rank_closure(d, x), x
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(presentations(10))
+    @example(from_graph(BRIDGED_EDGES))
+    def test_presentations_and_duals(self, m):
+        self._check(m)
+        self._check(m.dual())
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_minors(10))
+    @example(from_graph(BRIDGED_EDGES).contract(0b100000))
+    def test_minors(self, m):
+        self._check(m)
+
+
+@st.composite
+def _padded_lists(draw):
+    """A chain of cyclic flats, loops and coloops allowed, listed again
+    with repeats and with random sets at their rank, which change no rank
+    and are mostly not cyclic flats, in a random order."""
+    n = draw(st.integers(1, 9))
+    chain = [(draw(st.integers(0, n)), 0)]
+    while chain[-1][0] <= n - 2 and draw(st.booleans()):
+        s0, k = chain[-1]
+        size = draw(st.integers(s0 + 2, n))
+        chain.append((size, draw(st.integers(k + 1, k + size - s0 - 1))))
+    labels = draw(st.permutations(range(n)))
+    flats = [(labels[:s], k) for s, k in chain]
+    m = from_cyclic_flats(n, flats)
+    for x in draw(st.lists(subsets(n), max_size=4)):
+        flats.append((sorted(x), m.rank(mask_of(x))))
+    flats += draw(st.lists(st.sampled_from(flats), max_size=2))
+    return from_cyclic_flats(n, draw(st.permutations(flats)))
+
+
+class TestListRoute:
+    """`catenary` solves a list's configuration from its listed cyclic
+    flats and walks no flat."""
+
+    @staticmethod
+    def _check(m):
+        covered, covers = [], Matroid.covers
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(Matroid, "covers",
+                       lambda self, f: covered.append(f) or covers(self, f))
+            c = catenary(m)
+        assert covered == []
+        assert c == _flag_walk(m)
+        core = m.delete(m.coloops())
+        assert catenary(core) == _flag_walk(core)
+        if m.n <= 9:
+            assert c == catenary_from_g(g_brute_force(m))
+        assert m.cyclic_flats() == [(f, k) for f, k in m.flats()
+                                    if _rank_cyclic(m, f) == f]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(_padded_lists())
+    def test_padded_chains(self, m):
+        self._check(m)
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(_cyclic_flat_lists())
+    def test_accepted_cyclic_flat_lists(self, m):
+        if m is not None:
+            self._check(m)
+
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    @given(_minors(10))
+    def test_list_minors(self, m):
+        if m._cyclic_flats_of is not None and m.copoint_sizes is None:
+            self._check(m)
 
 
 class TestClosureOracle:
