@@ -278,16 +278,12 @@ class _Lattice:
     and independent-copoint counts of its states (lo, hi, T)."""
 
     def __init__(self, c: Configuration):
-        # a stable sort keeps equal ranks in node order
-        order = sorted(range(c.m), key=c.ranks.__getitem__)
+        order = sorted(range(c.m), key=lambda v: (c.ranks[v], v))
+        pos = {v: i for i, v in enumerate(order)}
         self.sizes = [c.sizes[v] for v in order]
         self.ranks = [c.ranks[v] for v in order]
-        if order == list(range(c.m)):  # `configuration_of` numbers by rank
-            self.up = list(c.up)
-        else:
-            pos = {v: i for i, v in enumerate(order)}
-            self.up = [sum(1 << pos[w] for w in elements_of(c.up[v]))
-                       for v in order]
+        self.up = [sum(1 << pos[w] for w in elements_of(c.up[v]))
+                   for v in order]
         self.down = [0] * c.m
         for i, mask in enumerate(self.up):
             for j in elements_of(mask):

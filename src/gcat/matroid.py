@@ -78,8 +78,8 @@ class Matroid:
     `copoint_sizes`, when given, maps each copoint size of a paving matroid
     of rank >= 2 to the number of copoints of that size.
     `bases`, a frozenset of bitmasks, is built on first read as the r-subsets
-    of rank r, and held, as are the flats and the circuits, in `_held`, the
-    memo map of `held`; ranks have their own cache.  Instances are
+    of rank r, and held, as are the flats, cyclic flats and circuits, in
+    `_held`, the memo map of `held`; ranks have their own cache.  Instances are
     immutable; every operation returns a new matroid.
     """
 
@@ -266,6 +266,9 @@ class Matroid:
         is the union of the circuits inside X & Y.  A list presentation
         lists them itself (`cyclic_flats_of`), walking no flat.
         """
+        return list(held(self, "cyclic_flats", Matroid._cyclic_flat_list))
+
+    def _cyclic_flat_list(self) -> list[tuple[int, int]]:
         if self._cyclic_flats_of is not None:
             return self._cyclic_flats_of()
         return [(f, k) for f, k in self.flats() if self.is_cyclic(f)]
@@ -408,8 +411,8 @@ def _listed(n: int, pairs, census=None) -> Matroid:
     every such F, in one pass; e in X keeps it exactly when every such F
     holds e, which gives the cyclic part of X.  Every cyclic flat Z is
     listed: an F attaining r(Z) holds Z, as Z - F would be coloops of M|Z,
-    and then r(F) = r(Z) makes F = Z.  So a listed F is a cyclic flat
-    exactly when it is the only listed set attaining r(F).  As
+    and then r(F) = r(Z) makes F = Z.  So the cyclic flats are the listed
+    sets that are closed and cyclic.  As
     r(X | C) - r(C) is the least (k + |C - F| - r(C)) + |X - F|, the minor
     M / C \\ D lists each F - C - D, relabeled, at k + |C - F| - r(C), a set
     listed twice at its least rank.  As r(X) <= |X|, the empty set at rank 0
@@ -448,21 +451,10 @@ def _listed(n: int, pairs, census=None) -> Matroid:
         return common
 
     def cyclic_flats_of():
-        seen, found = set(), []
-        for _, _, f in listed:
-            if f in seen:
-                continue
-            seen.add(f)
-            least, alone = n + 1, True
-            for out, k, g in listed:
-                score = k + (f & out).bit_count()
-                if score < least:
-                    least, alone = score, g == f
-                elif score == least:
-                    alone = alone and g == f
-            if alone:
-                found.append((least, f))
-        return [(f, k) for k, f in sorted(found)]
+        found = {f for _, _, f in listed
+                 if closure_of(f) == f and cyclic_of(f) == f}
+        return sorted(((f, rank_of(f)) for f in found),
+                      key=lambda fk: (fk[1], fk[0]))
 
     def minor_of(contract, delete):
         keep = enumerate(elements_of(full & ~(contract | delete)))
