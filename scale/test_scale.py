@@ -56,7 +56,8 @@ def theta(paths, length):
     # edge from each of two paths, 3 * 10 * 10 ways
     (theta(3, 10), 300, None),
 ])
-def test_small_corank_graphs_are_walked_as_their_duals(edges, trees, flags):
+def test_small_corank_graphs_are_solved_from_their_cyclic_flats(edges, trees,
+                                                               flags):
     t0 = time.perf_counter()
     c = catenary(from_graph(edges))
     assert time.perf_counter() - t0 < 0.1
@@ -70,9 +71,25 @@ def test_k5_subdivided_twice():
     m = from_graph(subdivided(list(itertools.combinations(range(5), 2)), 2))
     t0 = time.perf_counter()
     c = catenary(m)
-    assert time.perf_counter() - t0 < 10
+    assert time.perf_counter() - t0 < 2
     assert (c.n, c.r) == (30, 24)
     assert basis_count(c) == 125 * 3 ** 6
+
+
+@pytest.mark.parametrize("length, trees, seconds", [(8, 10_864, 2),
+                                                    (9, 40_545, 20)])
+def test_ladder(length, trees, seconds):
+    # two paths of `length` vertices joined by `length` rungs: n = 3L - 2,
+    # r = 2L - 1, and the spanning-tree counts of the ladders run
+    # 1, 4, 15, 56, 209, ... (t_L = 4 t_(L-1) - t_(L-2))
+    top = [(v, v + 1) for v in range(length - 1)]
+    m = from_graph(top + [(u + length, v + length) for u, v in top]
+                   + [(v, v + length) for v in range(length)])
+    t0 = time.perf_counter()
+    c = catenary(m)
+    assert time.perf_counter() - t0 < seconds
+    assert (c.n, c.r) == (3 * length - 2, 2 * length - 1)
+    assert basis_count(c) == trees
 
 
 def test_nested_list_of_40_is_solved_from_its_configuration():

@@ -208,26 +208,29 @@ def canonical_key(c: Configuration):
     return best[0]
 
 
+def _containment(flats) -> tuple[list[int], list[int], list[int]]:
+    """Sizes, ranks and up-sets (bitmasks of the nodes above) of cyclic
+    flats listed by rank, ordered by containment: a node's up-set is the
+    other nodes holding each of its elements (`holder`)."""
+    holder = [0] * flats[-1][0].bit_length()  # the top holds every flat
+    for i, (f, _) in enumerate(flats):
+        for e in elements_of(f):
+            holder[e] |= 1 << i
+    full = (1 << len(flats)) - 1
+    up = [full & ~(1 << i) for i in range(len(flats))]
+    for i, (f, _) in enumerate(flats):
+        for e in elements_of(f):
+            up[i] &= holder[e]
+    return [f.bit_count() for f, _ in flats], [k for _, k in flats], up
+
+
 def configuration_of(m: Matroid) -> Configuration:
     """Abstract copy of the lattice of cyclic flats; set identities are lost."""
     if m.coloops():
         raise ValueError("configurations are defined for coloop-free matroids")
-    zf = m.cyclic_flats()
-    # holder[e]: the nodes whose flat holds e; a node's up-set is the nodes
-    # holding all of its elements
-    holder = [0] * m.n
-    for i, (f, _) in enumerate(zf):
-        for e in elements_of(f):
-            holder[e] |= 1 << i
-    full = (1 << len(zf)) - 1
-    less = []
-    for i, (f, _) in enumerate(zf):
-        up = full & ~(1 << i)
-        for e in elements_of(f):
-            up &= holder[e]
-        less.extend((i, j) for j in elements_of(up))
-    return Configuration(tuple(f.bit_count() for f, _ in zf),
-                         tuple(k for _, k in zf), frozenset(less))
+    sizes, ranks, up = _containment(m.cyclic_flats())
+    return Configuration(sizes, ranks, frozenset(
+        (i, j) for i, mask in enumerate(up) for j in elements_of(mask)))
 
 
 def config_minor(c: Configuration, x: int, mode: str) -> Configuration:
@@ -273,26 +276,30 @@ def _occupancy(w: tuple) -> dict[tuple, int]:
 
 
 class _Lattice:
-    """One configuration's lattice with its nodes renumbered in rank order,
+    """A lattice by the sizes, ranks and up-sets of its nodes in rank order,
     so that ascending bits are a linear extension, and memos of the basis
     and independent-copoint counts of its states (lo, hi, T)."""
 
-    def __init__(self, c: Configuration):
-        order = sorted(range(c.m), key=lambda v: (c.ranks[v], v))
-        pos = {v: i for i, v in enumerate(order)}
-        self.sizes = [c.sizes[v] for v in order]
-        self.ranks = [c.ranks[v] for v in order]
-        self.up = [sum(1 << pos[w] for w in elements_of(c.up[v]))
-                   for v in order]
-        self.down = [0] * c.m
-        for i, mask in enumerate(self.up):
+    def __init__(self, sizes, ranks, up):
+        self.sizes, self.ranks, self.up = sizes, ranks, up
+        self.down = [0] * len(up)
+        for i, mask in enumerate(up):
             for j in elements_of(mask):
                 self.down[j] |= 1 << i
         # under[t]: the nodes of rank below t, a prefix of the rank order
-        self.under = [(1 << bisect_left(self.ranks, t)) - 1
-                      for t in range(c.rank() + 1)]
+        self.under = [(1 << bisect_left(ranks, t)) - 1
+                      for t in range(ranks[-1] + 1)]
         self._basis: dict[tuple, int] = {}
         self._iota: dict[tuple, int] = {}
+
+    @classmethod
+    def of(cls, c: Configuration) -> _Lattice:
+        """The lattice of c, its nodes renumbered in rank order."""
+        order = sorted(range(c.m), key=c.ranks.__getitem__)
+        pos = {v: i for i, v in enumerate(order)}
+        return cls([c.sizes[v] for v in order], [c.ranks[v] for v in order],
+                   [sum(1 << pos[w] for w in elements_of(c.up[v]))
+                    for v in order])
 
     def interior(self, lo: int, hi: int, t: int) -> int:
         return self.up[lo] & self.down[hi] & self.under[t]
@@ -382,12 +389,12 @@ def independent_copoint_count(c: Configuration) -> int:
         raise ValueError("independent copoints need a loopless configuration")
     if c.rank() == 0:
         return 0
-    return _Lattice(c).iota(0, c.m - 1, c.rank())
+    return _Lattice.of(c).iota(0, c.m - 1, c.rank())
 
 
 def basis_count_config(c: Configuration) -> int:
     """Number of bases of any matroid with this configuration."""
-    return _Lattice(c).basis(0, c.m - 1, c.rank())
+    return _Lattice.of(c).basis(0, c.m - 1, c.rank())
 
 
 def catenary_from_config(c: Configuration) -> CatenaryData:
@@ -396,4 +403,4 @@ def catenary_from_config(c: Configuration) -> CatenaryData:
     A lattice that no matroid has can give a negative independent-copoint
     count, which raises ExactnessError; flag counts are positive-weighted
     sums of their products."""
-    return CatenaryData(c.size(), c.rank(), _Lattice(c).flags())
+    return CatenaryData(c.size(), c.rank(), _Lattice.of(c).flags())

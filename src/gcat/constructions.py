@@ -13,7 +13,7 @@ import math
 
 from .errors import ExactnessError, held
 from .ginvariant import (CatenaryData, GInvariant, cat_direct_sum,
-                         catenary_from_g, dual_symbols, g_from_catenary)
+                         catenary_from_g, g_from_catenary)
 
 
 def _accumulate(pairs) -> dict:
@@ -25,13 +25,18 @@ def _accumulate(pairs) -> dict:
 
 # -- dual, truncation, lift ---------------------------------------------------
 
-def g_dual(g: GInvariant) -> GInvariant:
-    """Reverse each symbol and switch 0s and 1s; coefficients unchanged.
+_SWAP = str.maketrans("01", "10")
 
-    g holds its dual once built, so every later call returns that one G,
-    with whatever gamma coordinates it holds: each dual is solved at most
-    once.
-    """
+
+def dual_symbols(g: GInvariant) -> GInvariant:
+    """G of the dual: each symbol reversed and its 0s and 1s swapped."""
+    return GInvariant(g.n, g.n - g.r, {
+        key[::-1].translate(_SWAP): c for key, c in g.coeffs.items()})
+
+
+def g_dual(g: GInvariant) -> GInvariant:
+    """`dual_symbols` of g, which g holds once built, so every later call
+    returns that one G and its gamma coordinates: each dual is solved once."""
     return held(g, "dual", dual_symbols)
 
 

@@ -11,10 +11,9 @@ The two carry the same information, so each value holds what has been
 computed from it in one memo map (`held`): a G-invariant its gamma
 coordinates, which `g_from_catenary` stores and `catenary_from_g` solves
 once.  An invariant read from outside (a file, a deck) holds none, so it
-always gets the full solve and its checks.  `catenary` solves a list
-presentation from its configuration, and walks the flats of any other M,
-or those of its dual when that has rank r - 2 or less: G of one is G of
-the other with each symbol reversed and complemented.
+always gets the full solve and its checks.  `catenary` solves M from its
+configuration when M lists its cyclic flats or has corank r - 2 or less,
+and walks its flats otherwise; no G is built on the way.
 
 All coefficients are exact Python ints; the Tutte specialization runs on
 integers scaled by n!, and n! must divide every coefficient.
@@ -31,7 +30,7 @@ from functools import lru_cache
 from typing import Mapping
 
 from .errors import ExactnessError, held
-from .matroid import Matroid, _basis_scan, elements_of
+from .matroid import Matroid, _basis_scan, _small_corank, elements_of
 
 DEFAULT_ORACLE_LIMIT = 9  # largest n the brute-force oracles take
 
@@ -286,18 +285,19 @@ def gamma_one(a: tuple) -> int:
 def catenary(m: Matroid) -> CatenaryData:
     """Flag counts by composition: the copoint census of a paving
     presentation, else those of the matroid less its coloops, solved from
-    its configuration when it is a list, else walked (`_smaller_side`).
+    its cyclic flats or walked (`_flag_walk`).
 
     A paving matroid of rank >= 2 has its catenary data fixed by its count
     of copoints of each size (`paving_catenary`), so a presentation holding
     that census walks nothing.  A matroid with k coloops is its deletion of
     them plus U(k,k), the design with flat sizes 0, 1, ..., k, so only that
-    deletion is solved, a graph or a list when m is one, and the coloops
-    are shuffled back in by `cat_direct_sum`; the walk never sees the 2^k
-    copies of the deletion's flats that they would multiply it into.  A
-    list lists its cyclic flats, so the configuration theorem gives its
-    deletion's data with no flat walked.  A matroid of loops or coloops
-    alone is U(0,n) or U(n,n), and no minor is built.
+    deletion is solved, a graph or a list when m is one, and the coloops are
+    shuffled back in by `cat_direct_sum`; the walk never sees the 2^k copies
+    of the deletion's flats that they would multiply it into.  A list lists
+    its cyclic flats, and at corank r - 2 or less the dual's smaller lattice
+    gives them (`Matroid.cyclic_flats`): the configuration theorem solves
+    their containment order, and no `Configuration` is built.  A matroid of
+    loops or coloops alone is U(0,n) or U(n,n): no minor.
     """
     if m.copoint_sizes is not None:
         return paving_catenary(m.n, m.r, m.copoint_sizes)
@@ -307,29 +307,16 @@ def catenary(m: Matroid) -> CatenaryData:
     if coloops == m.full:
         return pmd_catenary(range(m.n + 1))
     core = m.delete(coloops) if coloops else m
-    if core._cyclic_flats_of is None:
-        c = _smaller_side(core)
+    if core._cyclic_flats_of is None and not _small_corank(core):
+        c = _flag_walk(core)
     else:
         # configuration imports this module, so it is imported here
-        from .configuration import catenary_from_config, configuration_of
-        c = catenary_from_config(configuration_of(core))
+        from .configuration import _containment, _Lattice
+        lattice = _Lattice(*_containment(core.cyclic_flats()))
+        c = CatenaryData(core.n, core.r, lattice.flags())
     if not coloops:
         return c
     return cat_direct_sum(c, pmd_catenary(range(coloops.bit_count() + 1)))
-
-
-def _smaller_side(m: Matroid) -> CatenaryData:
-    """The flag walk of m, or, when n - r <= r - 2, of its dual, whose G
-    reversed and swapped is G(m) (`dual_symbols`), solved back exactly.
-
-    The dual closes a set through m's cyclic part, one search for a graph,
-    but lists no covers, so it closes once per cover; at corank r - 1 that
-    costs more than the smaller lattice saves.
-    """
-    if m.n - m.r > m.r - 2:
-        return _flag_walk(m)
-    g = g_from_catenary(_flag_walk(m.dual()))
-    return catenary_from_g(dual_symbols(g))
 
 
 def _flag_walk(m: Matroid) -> CatenaryData:
@@ -427,15 +414,6 @@ def g_from_catenary(c: CatenaryData) -> GInvariant:
     if min(c.counts.values(), default=1) > 0:
         g._held["catenary"] = c
     return g
-
-
-_SWAP = str.maketrans("01", "10")
-
-
-def dual_symbols(g: GInvariant) -> GInvariant:
-    """G of the dual: each symbol reversed and its 0s and 1s swapped."""
-    return GInvariant(g.n, g.n - g.r, {
-        key[::-1].translate(_SWAP): c for key, c in g.coeffs.items()})
 
 
 def g_invariant(m: Matroid) -> GInvariant:

@@ -17,12 +17,12 @@ closure each, except where the presentation lists them: a graph reads every
 cover of a flat off one union-find of its components, so its walk closes
 only the bottom flat.  The coloops are what the cyclic part of E leaves
 out.  `catenary` solves the deletion of the coloops, which a graph or a
-list builds as its own kind: a list names every cyclic flat, so its
-configuration gives the data; any other matroid is walked or, at corank
-r - 2 or less, its dual.  A paving presentation of rank r >= 2 (uniform,
-paving, Dowling) knows how many copoints it has of each size, which fixes
-its catenary data (the census theorem), so `catenary` walks no flats for
-it; no derived matroid carries that census.  Each
+list builds as its own kind: a list names every cyclic flat, and at
+corank r - 2 or less they are the complements of the dual's, so the
+configuration gives the data; any other matroid is walked.  A paving
+presentation of rank r >= 2 (uniform, paving, Dowling) knows how many
+copoints it has of each size, which fixes its catenary data (the census
+theorem); no derived matroid carries that census.  Each
 presentation but a basis family is a matroid by construction, so only
 `from_bases` checks basis exchange, on every family.  The bases, flats and
 circuits are built only when read, and held in one memo map (`held`).
@@ -35,6 +35,7 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from operator import itemgetter
 
 from .errors import PresentationError, held, json_int
 
@@ -62,6 +63,11 @@ def _basis_scan(bases):
     def rank_of(x):
         return max((x & b).bit_count() for b in bases)
     return rank_of
+
+
+def _small_corank(m) -> bool:
+    """n - r <= r - 2: m's cyclic flats come from its dual's (smaller) flats."""
+    return m.n - m.r <= m.r - 2
 
 
 class Matroid:
@@ -263,14 +269,19 @@ class Matroid:
         """The lattice of cyclic flats as (mask, rank) pairs, by rank then mask.
 
         The order relation is bitmask containment; join is cl(X | Y) and meet
-        is the union of the circuits inside X & Y.  A list presentation
-        lists them itself (`cyclic_flats_of`), walking no flat.
+        is the union of the circuits inside X & Y.  A list presentation lists
+        them itself (`cyclic_flats_of`); at small corank (`_small_corank`)
+        they are the complements of the dual's, each F* at r - |F*| + r*(F*).
         """
         return list(held(self, "cyclic_flats", Matroid._cyclic_flat_list))
 
     def _cyclic_flat_list(self) -> list[tuple[int, int]]:
         if self._cyclic_flats_of is not None:
             return self._cyclic_flats_of()
+        if _small_corank(self):
+            return sorted(((self.full & ~f, self.r - f.bit_count() + k)
+                           for f, k in self.dual().cyclic_flats()),
+                          key=itemgetter(1, 0))
         return [(f, k) for f, k in self.flats() if self.is_cyclic(f)]
 
     def is_paving(self) -> bool:
@@ -453,8 +464,7 @@ def _listed(n: int, pairs, census=None) -> Matroid:
     def cyclic_flats_of():
         found = {f for _, _, f in listed
                  if closure_of(f) == f and cyclic_of(f) == f}
-        return sorted(((f, rank_of(f)) for f in found),
-                      key=lambda fk: (fk[1], fk[0]))
+        return sorted(((f, rank_of(f)) for f in found), key=itemgetter(1, 0))
 
     def minor_of(contract, delete):
         keep = enumerate(elements_of(full & ~(contract | delete)))

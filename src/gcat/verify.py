@@ -211,8 +211,8 @@ def run_verify(m: Matroid, deep: bool = False):
                 _require(right == g_invariant(m.contract(flats[0])), (k, s))
 
         if not m.coloops():
-            # `catenary` of a list is this solve, so it is checked against
-            # the flag walk
+            # `catenary` of a list or of a core of corank r - 2 or less is
+            # this solve, so it is checked against the flag walk
             @check("configuration-catenary")
             def _():
                 _require(catenary_from_config(configuration_of(m))

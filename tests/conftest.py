@@ -293,3 +293,18 @@ def presentations(max_n):
     if tables:
         kinds.append(st.sampled_from(tables).map(dowling3))
     return st.one_of(kinds)
+
+
+@st.composite
+def _small_corank_graphs(draw):
+    """A cycle of 3-9 edges, up to 3 more edges on its vertices (chords,
+    parallel edges or loops) and up to 3 bridges hung off it, in a random
+    order: a connected graph of corank 1-4, mostly of core rank n - r + 2
+    or more."""
+    length = draw(st.integers(3, 9))
+    edges = [(v, (v + 1) % length) for v in range(length)]
+    end = st.integers(0, length - 1)
+    edges += draw(st.lists(st.tuples(end, end), max_size=3))
+    for v in range(length, length + draw(st.integers(0, 3))):
+        edges.append((draw(st.integers(0, v - 1)), v))
+    return from_graph(draw(st.permutations(edges)))

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from gcat import ginvariant
 from gcat import (CatenaryData, ExactnessError, GInvariant, TuttePolynomial,
                   basis_count, cat_direct_sum, catenary, catenary_from_g,
                   comp_to_seq, compositions, detect_free_product, dominates,
@@ -22,8 +23,8 @@ from gcat.ginvariant import (_expand_shifted, _flag_walk, gamma_coeffs,
                              invariant_catenary, invariant_copies)
 from gcat.matroid import Matroid
 from gcat.serialization import ginvariant_to_json
-from conftest import (FANO_LINES, K4_EDGES, closures, load_data,
-                      presentations)
+from conftest import (FANO_LINES, K4_EDGES, _small_corank_graphs, closures,
+                      load_data, presentations)
 
 
 @st.composite
@@ -56,21 +57,6 @@ def _with_coloops(draw):
     for _ in range(k):
         m = m.add_coloop()
     return m
-
-
-@st.composite
-def _small_corank_graphs(draw):
-    """A cycle of 3-9 edges, up to 3 more edges on its vertices (chords,
-    parallel edges or loops) and up to 3 bridges hung off it, in a random
-    order: a connected graph of corank 1-4, mostly of core rank n - r + 2
-    or more."""
-    length = draw(st.integers(3, 9))
-    edges = [(v, (v + 1) % length) for v in range(length)]
-    end = st.integers(0, length - 1)
-    edges += draw(st.lists(st.tuples(end, end), max_size=3))
-    for v in range(length, length + draw(st.integers(0, 3))):
-        edges.append((draw(st.integers(0, v - 1)), v))
-    return from_graph(draw(st.permutations(edges)))
 
 
 class TestBijection:
@@ -325,15 +311,23 @@ class TestCatenary:
 
     @staticmethod
     def _check_either_side(m):
-        # a core with n - r <= r - 2 is walked as its dual and solved back
-        c = catenary(m)
+        # a core with n - r <= r - 2 is solved from its cyclic flats, the
+        # complements of its dual's, and no core goes through G
+        called, cached = [], gamma_coeffs.cache_info().currsize
+        with pytest.MonkeyPatch.context() as mp:
+            for name in ("g_from_catenary", "catenary_from_g"):
+                mp.setattr(ginvariant, name,
+                           lambda *args, name=name: called.append(name))
+            c = catenary(m)
+        assert called == []
+        assert gamma_coeffs.cache_info().currsize == cached
         assert c == _flag_walk(m)
         if m.n <= 9:
             assert c == catenary_from_g(g_brute_force(m))
 
     @settings(max_examples=60, deadline=None)
     @given(presentations(10))
-    # a nested list of corank 2 and rank 6, walked as its dual
+    # a nested list of corank 2 and rank 6, solved from its listed flats
     @example(from_cyclic_flats(8, [([], 0), ([0, 1, 2], 2), (range(8), 6)]))
     def test_presentations_give_the_flag_walk(self, m):
         self._check_either_side(m)

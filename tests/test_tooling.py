@@ -86,8 +86,8 @@ def test_invariant_layer_imports_no_matroid(module):
 
 
 def test_catenary_layer_imports_no_constructions():
-    # catenary takes a dual's G back through `dual_symbols`, which
-    # constructions imports from ginvariant, so constructions stays idle
+    # catenary builds no G, and `dual_symbols` lives beside `g_dual` in
+    # constructions, so the catenary layer leaves constructions idle
     imported = _imported_modules(ROOT / "src" / "gcat" / "ginvariant.py")
     assert not {name for name in imported
                 if name == "gcat.constructions"
